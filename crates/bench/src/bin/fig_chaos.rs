@@ -5,9 +5,10 @@
 //! layered on top: `z0` collapses at t = 300 s and recovers at t = 600 s
 //! while every pool injects unannounced kills, lost/truncated preemption
 //! notices, lapsed grants and a degraded link at the swept intensity.
-//! `ReactiveSpot` is bound to `z0` and eats every fault; the hedged
-//! policies re-request with exponential backoff, escalate to on-demand
-//! after repeated lapses, and spread the target across the survivors.
+//! `ReactiveSpot` is bound to `z0` and loses requests to the outage
+//! itself, at every intensity; the hedged policies re-request with
+//! exponential backoff, escalate to on-demand after repeated lapses, and
+//! spread the target across the survivors.
 //! Every run — all policies, all intensities — is replayed through the
 //! [`InvariantAuditor`]: a run may degrade under chaos, never corrupt.
 //!
@@ -89,9 +90,12 @@ fn main() {
         }
     }
     println!();
-    println!("ReactiveSpot is bound to z0: every injected kill, lost notice and");
-    println!("lapsed grant lands on the only market it can draw from, so its loss");
-    println!("grows with intensity. The hedged policies re-request with backoff,");
-    println!("escalate to on-demand after repeated lapses, and keep loss at zero");
-    println!("through the standard pack. Every cell is auditor-verified.");
+    println!("ReactiveSpot loses the same requests to SLO rejection at every");
+    println!("intensity, 0 included: the loss comes from the z0 outage, which its");
+    println!("single market cannot route around, not from the injected faults.");
+    println!("The hedged policies re-request with backoff, escalate to on-demand");
+    println!("after repeated lapses, and lose nothing at any intensity. SpotHedge");
+    println!("and CostPerToken coincide in every cell: the pools share one SKU at");
+    println!("one constant price, so no pool nears parity and the $/token rung");
+    println!("adds nothing to the price-blind hedge. Every cell is auditor-verified.");
 }

@@ -78,9 +78,10 @@ pub struct SystemOptions {
     /// How the fleet acquires capacity from the spot market(s):
     /// [`FleetPolicy::ReactiveSpot`] (the default) keeps the paper's
     /// single-market reactive path bit-exact;
-    /// [`FleetPolicy::OnDemandFallback`] and [`FleetPolicy::SpotHedge`]
-    /// route acquisition through the `fleetctl` controller (multi-pool
-    /// spread, on-demand top-ups, preemption-rate-sized hedging).
+    /// [`FleetPolicy::OnDemandFallback`] and the [`FleetPolicy::Hedge`]
+    /// presets route acquisition through the `fleetctl` controller
+    /// (multi-pool spread, on-demand top-ups, preemption-rate-sized
+    /// hedging).
     pub fleet_policy: FleetPolicy,
     /// Allow mixing on-demand instances into the fleet (the `+O` traces).
     pub on_demand_mixing: bool,

@@ -38,7 +38,7 @@ use simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use telemetry::{Recorder, TelemetryEvent, TelemetryStream, TriageVerdict};
 use workload::{LatencyReport, Request, WorkloadSpec};
 
-use fleetctl::{FleetController, FleetPolicy, FleetView, PoolCaps, PoolView};
+use fleetctl::{FleetController, FleetView, PoolCaps, PoolView};
 
 use crate::config::{EngineMode, Policy, SystemOptions};
 use crate::devicemap::{map_devices_with_skus, OldState, SkuTable};
@@ -266,8 +266,9 @@ pub struct ServingSystem {
     optimizer: ConfigOptimizer,
     cloud: CloudMarket,
     /// Policy-driven acquisition (consulted for every non-reactive
-    /// [`FleetPolicy`]; [`FleetPolicy::ReactiveSpot`] keeps the legacy
-    /// paper-exact path below).
+    /// [`FleetPolicy`](fleetctl::FleetPolicy); under `ReactiveSpot` it is
+    /// never asked for a command, and Algorithm 1's delta path in
+    /// `manage_fleet`/`replenish_fleet` acquires instead).
     fleet: FleetController,
     /// The optimizer's most recent target fleet size `N` (serving need,
     /// excluding spares) — what the fleet controller steers toward.
@@ -300,10 +301,6 @@ pub struct ServingSystem {
     /// The bootstrap configuration (the `-Controller` ablation pins this).
     frozen_config: Option<ParallelConfig>,
     initial_fleet_target: u32,
-    /// Last spot price (cents/hour) each pool was seen at, for
-    /// edge-triggered price-pressure feeding under
-    /// [`FleetPolicy::CostPerToken`]. Empty until first consulted.
-    last_spot_cents: Vec<u32>,
     /// Mixed-SKU fleet state; `None` on homogeneous fleets (see
     /// [`HeteroState`]).
     hetero: Option<HeteroState>,
@@ -448,7 +445,6 @@ impl ServingSystem {
             rerouting_shape: None,
             frozen_config: None,
             initial_fleet_target: 0,
-            last_spot_cents: Vec::new(),
             hetero,
             outstanding: scenario.requests.len(),
             arrivals_seen: Vec::new(),
@@ -813,12 +809,7 @@ impl ServingSystem {
                         .unwrap_or(0)
                 };
                 let want = target + self.opts.spare_instances;
-                let ids = if matches!(
-                    self.opts.fleet_policy,
-                    FleetPolicy::SpotHedge { .. }
-                        | FleetPolicy::CostAwareHedge { .. }
-                        | FleetPolicy::CostPerToken { .. }
-                ) {
+                let ids = if self.opts.fleet_policy.is_hedged() {
                     // Hedged warm start: spread target + spares + hedge
                     // across pools so no zone holds a fleet-killing share.
                     let caps: Vec<u32> = (0..self.cloud.pool_count())
@@ -963,8 +954,7 @@ impl ServingSystem {
             CloudEvent::SpotPriceStep { .. } => {
                 // A market re-quote changes no lease; it is purely a
                 // steering point. The controller re-reads every pool's
-                // price card (and the parity mask / price-pressure feed
-                // under `CostPerToken`) in `steer_fleet` below.
+                // price card in `steer_fleet` below.
             }
         }
         // Every cloud transition is a steering point for the controller
@@ -1506,7 +1496,8 @@ impl ServingSystem {
             // delivered shortfall (capacity sheds and chaos grant lapses).
             pool.lapsed_spot = self.cloud.lapsed_spot_in(pid);
             // The pool's capability/price card: price-blind policies
-            // ignore it; the cost-aware hedge masks and biases by it.
+            // ignore it; the cost-aware hedge rungs mask, bias and feed
+            // price pressure by it.
             let ty = self.cloud.instance_type_in(pid);
             pool.caps = PoolCaps::of(ty);
             // Dynamically priced pools quote their *current* spot price,
@@ -1555,19 +1546,14 @@ impl ServingSystem {
     }
 
     /// Consults the fleet controller and executes its command (the
-    /// acquisition path for every non-reactive [`FleetPolicy`]). No-op
-    /// under [`FleetPolicy::ReactiveSpot`] and [`Policy::OnDemandOnly`].
+    /// acquisition path for every non-reactive
+    /// [`FleetPolicy`](fleetctl::FleetPolicy)). No-op under `ReactiveSpot`
+    /// and [`Policy::OnDemandOnly`].
     fn steer_fleet(&mut self) {
         if matches!(self.opts.policy, Policy::OnDemandOnly { .. })
             || self.opts.fleet_policy.is_reactive()
         {
             return;
-        }
-        if let FleetPolicy::CostPerToken {
-            parity_permille, ..
-        } = self.opts.fleet_policy
-        {
-            self.feed_price_pressure(parity_permille);
         }
         // Safety net for grants that vanished without even a lapse event:
         // overdue request deadlines convert to failures before the
@@ -1613,47 +1599,6 @@ impl ServingSystem {
             // Idle instances only, on-demand first (the Algorithm 1
             // line 10 release priority the controller assumes).
             self.release_surplus(cmd.release);
-        }
-    }
-
-    /// Feeds spot-price spikes into the preemption estimator as an
-    /// anticipatory kill signal (see
-    /// [`FleetController::observe_price_pressure`]). Edge-triggered: a
-    /// pool contributes pressure only when its observed price *changes*
-    /// to a level at or past the parity threshold, weighted by how far
-    /// past parity it landed (one kill's worth per threshold-to-2×-parity
-    /// span, clamped). On clouds where preemption probability correlates
-    /// with price, this widens the hedge before the notices arrive.
-    fn feed_price_pressure(&mut self, parity_permille: u32) {
-        let n = self.cloud.pool_count();
-        if self.last_spot_cents.len() != n {
-            // First consultation: baseline at the SKU list price, so a
-            // scenario that *starts* spiked still registers the spike.
-            self.last_spot_cents = (0..n)
-                .map(|i| {
-                    let ty = self.cloud.instance_type_in(PoolId(i as u32));
-                    (ty.spot_price_per_hour * 100.0).round() as u32
-                })
-                .collect();
-        }
-        for i in 0..n {
-            let pid = PoolId(i as u32);
-            let cents = (self.cloud.spot_price_in(pid, self.now) * 100.0).round() as u32;
-            if cents == self.last_spot_cents[i] {
-                continue;
-            }
-            self.last_spot_cents[i] = cents;
-            let od_cents =
-                (self.cloud.instance_type_in(pid).ondemand_price_per_hour * 100.0).round() as u32;
-            if od_cents == 0 {
-                continue;
-            }
-            let parity = f64::from(parity_permille) / 1000.0;
-            let ratio = f64::from(cents) / f64::from(od_cents);
-            if ratio >= parity {
-                let weight = ((ratio - parity) / parity.max(1e-9)).clamp(0.0, 1.0);
-                self.fleet.observe_price_pressure(i, weight, self.now);
-            }
         }
     }
 

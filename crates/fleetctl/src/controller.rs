@@ -5,7 +5,7 @@ use simkit::{SimDuration, SimTime};
 use telemetry::{TelemetryEvent, TelemetrySink};
 
 use crate::estimator::PreemptionEstimator;
-use crate::policy::FleetPolicy;
+use crate::policy::{FleetPolicy, HedgeRung, MAX_HEDGE, MIN_HEDGE, PARITY_PERMILLE};
 use crate::spread;
 use crate::tracker::{RequestTracker, RetryDecision};
 
@@ -16,8 +16,11 @@ use crate::tracker::{RequestTracker, RetryDecision};
 pub struct PoolCaps {
     /// The pool's instance-type name (e.g. `"g4dn.12xlarge"`).
     pub sku: &'static str,
-    /// Spot price, cents per instance-hour.
+    /// Spot price, cents per instance-hour: the price currently quoted.
     pub spot_cents_per_hour: u32,
+    /// The SKU's list spot price, cents per instance-hour: the baseline
+    /// the price-pressure feed compares the first quoted price against.
+    pub list_spot_cents_per_hour: u32,
     /// On-demand price, cents per instance-hour.
     pub ondemand_cents_per_hour: u32,
     /// GPUs per instance of this SKU.
@@ -32,13 +35,24 @@ impl PoolCaps {
     /// The capability card of `ty`, assuming the model fits (the caller
     /// owns the memory model and clears [`PoolCaps::fits_model`] itself).
     pub fn of(ty: &InstanceType) -> Self {
+        let list_spot_cents = (ty.spot_price_per_hour * 100.0).round() as u32;
         PoolCaps {
             sku: ty.name,
-            spot_cents_per_hour: (ty.spot_price_per_hour * 100.0).round() as u32,
+            spot_cents_per_hour: list_spot_cents,
+            list_spot_cents_per_hour: list_spot_cents,
             ondemand_cents_per_hour: (ty.ondemand_price_per_hour * 100.0).round() as u32,
             gpus_per_instance: ty.gpus_per_instance,
             fits_model: true,
         }
+    }
+
+    /// Whether the quoted spot price is at or past [`PARITY_PERMILLE`] of
+    /// the on-demand price. A pool with no price card on file (on-demand
+    /// price 0) is never past parity.
+    fn past_parity(&self) -> bool {
+        self.ondemand_cents_per_hour > 0
+            && u64::from(self.spot_cents_per_hour) * 1000
+                >= u64::from(PARITY_PERMILLE) * u64::from(self.ondemand_cents_per_hour)
     }
 }
 
@@ -49,6 +63,7 @@ impl Default for PoolCaps {
         PoolCaps {
             sku: "",
             spot_cents_per_hour: 0,
+            list_spot_cents_per_hour: 0,
             ondemand_cents_per_hour: 0,
             gpus_per_instance: 4,
             fits_model: true,
@@ -109,6 +124,17 @@ impl FleetView {
 
     fn live_spot(&self) -> u32 {
         self.pools.iter().map(|p| p.live_spot).sum()
+    }
+
+    /// The pool with the cheapest on-demand price whose SKU can host the
+    /// model (lowest index on ties).
+    fn cheapest_capable_pool(&self) -> Option<u32> {
+        self.pools
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.caps.fits_model)
+            .min_by_key(|(i, p)| (p.caps.ondemand_cents_per_hour, *i))
+            .map(|(i, _)| i as u32)
     }
 }
 
@@ -197,55 +223,24 @@ pub struct FleetController {
     /// Exposure horizon the churn hedge covers: how long a replacement
     /// takes to arrive (the spot grant delay).
     grant_delay: SimDuration,
+    /// Last spot price (cents/hour) each pool was quoted at, for the
+    /// edge-triggered price-pressure feed of [`HedgeRung::CostPerToken`].
+    /// Empty until the first view is observed.
+    last_spot_cents: Vec<u32>,
 }
 
 impl FleetController {
     /// A controller for `n_pools` pools under `policy`. `grant_delay` is
     /// the replacement latency the churn hedge must cover; the estimator
     /// window defaults to ten grant delays (a few minutes of memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` is a [`FleetPolicy::SpotHedge`] with
-    /// `min_hedge > max_hedge` — failing fast at construction instead of
-    /// deep inside the simulation loop.
     pub fn new(policy: FleetPolicy, n_pools: usize, grant_delay: SimDuration) -> Self {
-        if let FleetPolicy::SpotHedge {
-            min_hedge,
-            max_hedge,
-            ..
-        }
-        | FleetPolicy::CostAwareHedge {
-            min_hedge,
-            max_hedge,
-            ..
-        }
-        | FleetPolicy::CostPerToken {
-            min_hedge,
-            max_hedge,
-            ..
-        } = policy
-        {
-            assert!(
-                min_hedge <= max_hedge,
-                "SpotHedge bounds are inverted: min_hedge {min_hedge} > max_hedge {max_hedge}"
-            );
-        }
-        if let FleetPolicy::CostPerToken {
-            parity_permille, ..
-        } = policy
-        {
-            assert!(
-                parity_permille > 0,
-                "a zero parity threshold masks every pool unconditionally"
-            );
-        }
         let window = SimDuration::from_micros((grant_delay.as_micros()).max(1) * 10);
         FleetController {
             policy,
             estimator: PreemptionEstimator::new(n_pools, window),
             tracker: RequestTracker::new(n_pools, grant_delay),
             grant_delay,
+            last_spot_cents: Vec::new(),
         }
     }
 
@@ -304,43 +299,58 @@ impl FleetController {
         self.tracker.sweep_overdue(now)
     }
 
-    /// Feeds an anticipatory, price-correlated kill signal into the rate
-    /// estimator: `weight` kills' worth of pressure in `pool`. The
-    /// serving system calls this when a pool's spot price steps past the
-    /// policy's parity threshold — on clouds where preemption probability
-    /// correlates with price, the spike predicts the kills, so the hedge
-    /// widens *before* the notices arrive.
-    pub fn observe_price_pressure(&mut self, pool: usize, weight: f64, now: SimTime) {
-        self.estimator.record_pressure(pool, weight, now);
+    /// Feeds spot-price spikes in `view` into the rate estimator as an
+    /// anticipatory kill signal ([`HedgeRung::CostPerToken`] only).
+    /// Edge-triggered: a pool contributes pressure only when its quoted
+    /// price *changes* to a level at or past parity, weighted by how far
+    /// past parity it landed (one kill's worth per threshold-to-2×-parity
+    /// span, clamped). On clouds where preemption probability correlates
+    /// with price, the spike predicts the kills, so the hedge widens
+    /// *before* the notices arrive.
+    fn observe_prices(&mut self, view: &FleetView, now: SimTime) {
+        if self.policy != FleetPolicy::cost_per_token() {
+            return;
+        }
+        if self.last_spot_cents.len() != view.pools.len() {
+            // First observation: baseline at the SKU list price, so a
+            // scenario that *starts* spiked still registers the spike.
+            self.last_spot_cents = view
+                .pools
+                .iter()
+                .map(|p| p.caps.list_spot_cents_per_hour)
+                .collect();
+        }
+        for (i, (pool, last)) in view.pools.iter().zip(&mut self.last_spot_cents).enumerate() {
+            let cents = pool.caps.spot_cents_per_hour;
+            if cents == *last {
+                continue;
+            }
+            *last = cents;
+            let od_cents = pool.caps.ondemand_cents_per_hour;
+            if od_cents == 0 {
+                continue;
+            }
+            let parity = f64::from(PARITY_PERMILLE) / 1000.0;
+            let ratio = f64::from(cents) / f64::from(od_cents);
+            if ratio >= parity {
+                let weight = ((ratio - parity) / parity.max(1e-9)).clamp(0.0, 1.0);
+                self.estimator.record_pressure(i, weight, now);
+            }
+        }
     }
 
     /// The hedge size for `target` over pools with capacities `caps`:
     /// large enough that losing the single biggest even-spread share still
     /// leaves `target` live, inflated to the churn estimate (expected
-    /// kills over one grant delay), clamped to the policy's bounds. Zero
-    /// for non-hedge policies.
+    /// kills over one grant delay), clamped to [`MIN_HEDGE`]..=[`MAX_HEDGE`].
+    /// Zero for non-hedge policies.
     pub fn hedge(&self, target: u32, caps: &[u32], now: SimTime) -> u32 {
-        let (min_hedge, max_hedge) = match self.policy {
-            FleetPolicy::SpotHedge {
-                min_hedge,
-                max_hedge,
-                ..
-            }
-            | FleetPolicy::CostAwareHedge {
-                min_hedge,
-                max_hedge,
-                ..
-            }
-            | FleetPolicy::CostPerToken {
-                min_hedge,
-                max_hedge,
-                ..
-            } => (min_hedge, max_hedge),
-            _ => return 0,
-        };
+        if !self.policy.is_hedged() {
+            return 0;
+        }
         let churn = self.estimator.expected_kills(now, self.grant_delay).ceil() as u32;
         let zone_floor = Self::zone_safe_hedge(target, caps);
-        zone_floor.max(churn).clamp(min_hedge, max_hedge)
+        zone_floor.max(churn).clamp(MIN_HEDGE, MAX_HEDGE)
     }
 
     /// The smallest `h` such that spreading `target + h` evenly over
@@ -364,22 +374,16 @@ impl FleetController {
 
     /// Computes the acquisition command for `view` at `now`.
     ///
-    /// [`FleetPolicy::ReactiveSpot`] reproduces the legacy top-up (all
-    /// spot, pool 0); the serving system keeps its own paper-exact path
-    /// for that policy and only consults the controller for the others.
+    /// [`FleetPolicy::ReactiveSpot`] commands nothing: the serving system
+    /// never consults the controller under it and runs Algorithm 1's own
+    /// delta path instead.
     pub fn command(&self, view: &FleetView, now: SimTime) -> FleetCommand {
         let n = view.pools.len();
         let mut cmd = FleetCommand::idle(n);
         match self.policy {
-            FleetPolicy::ReactiveSpot => {
-                let have = view.committed_spot() + view.live_ondemand;
-                let want = (view.target + view.spares).saturating_sub(have);
-                if n > 0 {
-                    cmd.spot[0] = want;
-                }
-            }
+            FleetPolicy::ReactiveSpot => {}
             FleetPolicy::OnDemandFallback => {
-                // Ride spot exactly like the reactive baseline...
+                // Ride spot on pool 0...
                 let desired = view.target + view.spares;
                 let have = view.committed_spot();
                 if n > 0 {
@@ -404,18 +408,21 @@ impl FleetController {
                 }
                 cmd.release = (view.live_spot() + view.live_ondemand).saturating_sub(desired);
             }
-            FleetPolicy::SpotHedge {
-                ondemand_backstop, ..
-            } => {
-                // Backoff mask: a pool inside its retry window after
-                // lapsed grants contributes no capacity and receives no
-                // requests until the window expires.
+            FleetPolicy::Hedge(rung) => {
+                // Masked pools contribute no capacity and receive no
+                // requests: a pool inside its retry window after lapsed
+                // grants (every rung), a SKU that cannot host the model
+                // (cost-aware and up), a spot price at on-demand parity
+                // ($/token only).
                 let caps: Vec<u32> = view
                     .pools
                     .iter()
                     .enumerate()
                     .map(|(i, p)| {
-                        if self.tracker.is_backed_off(i, now) {
+                        let masked = self.tracker.is_backed_off(i, now)
+                            || (rung >= HedgeRung::CostAware && !p.caps.fits_model)
+                            || (rung == HedgeRung::CostPerToken && p.caps.past_parity());
+                        if masked {
                             0
                         } else {
                             p.capacity
@@ -424,128 +431,33 @@ impl FleetController {
                     .collect();
                 let hedge = self.hedge(view.target, &caps, now);
                 let desired_total = view.target + view.spares + hedge;
-                let alloc = spread(desired_total, &caps);
-                for (i, (&want, pool)) in alloc.iter().zip(&view.pools).enumerate() {
-                    let have = pool.committed();
-                    cmd.spot[i] = want.saturating_sub(have);
-                    cmd.cancel_spot[i] = have.saturating_sub(want).min(pool.queued_spot);
-                }
-                if ondemand_backstop {
-                    // Even the hedged spread cannot reach the target: every
-                    // pool is short at once. Bridge the rest with on-demand.
-                    let spot_reachable: u32 = alloc.iter().sum();
-                    cmd.ondemand = view.target.saturating_sub(
-                        spot_reachable + view.live_ondemand + view.pending_ondemand,
-                    );
-                }
-                let live = view.live_spot() + view.live_ondemand;
-                cmd.release = live.saturating_sub(desired_total);
-            }
-            FleetPolicy::CostAwareHedge {
-                ondemand_backstop, ..
-            } => {
-                // Capability mask (pools whose SKU cannot host the model)
-                // plus the backoff mask (pools cooling down after lapsed
-                // grants): neither contributes capacity nor receives
-                // requests.
-                let caps: Vec<u32> = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        if p.caps.fits_model && !self.tracker.is_backed_off(i, now) {
-                            p.capacity
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                let hedge = self.hedge(view.target, &caps, now);
-                let desired_total = view.target + view.spares + hedge;
-                // Price-ordered spread: same share *multiset* as the even
-                // spread (so one-outage survivability is unchanged), with
-                // the remainder shares biased toward cheap spot pools.
-                let alloc = spread_by_price(desired_total, &caps, |i| {
-                    view.pools[i].caps.spot_cents_per_hour
+                // Price-ordered spread: the same share *multiset* as the
+                // even spread (so one-outage survivability is unchanged),
+                // with the remainder shares biased toward cheap spot pools.
+                // The price-blind rung quotes every pool at 0, which keeps
+                // pool order: exactly the even spread.
+                let alloc = spread_by_price(desired_total, &caps, |i| match rung {
+                    HedgeRung::PriceBlind => 0,
+                    _ => view.pools[i].caps.spot_cents_per_hour,
                 });
                 for (i, (&want, pool)) in alloc.iter().zip(&view.pools).enumerate() {
                     let have = pool.committed();
                     cmd.spot[i] = want.saturating_sub(have);
                     cmd.cancel_spot[i] = have.saturating_sub(want).min(pool.queued_spot);
                 }
-                if ondemand_backstop {
-                    let spot_reachable: u32 = alloc.iter().sum();
-                    cmd.ondemand = view.target.saturating_sub(
-                        spot_reachable + view.live_ondemand + view.pending_ondemand,
-                    );
-                    // The backstop lands in the cheapest *capable* pool —
-                    // its SKU, its bill — instead of defaulting to pool 0.
-                    cmd.ondemand_pool = view
-                        .pools
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.caps.fits_model)
-                        .min_by_key(|(i, p)| (p.caps.ondemand_cents_per_hour, *i))
-                        .map(|(i, _)| i as u32);
-                }
-                let live = view.live_spot() + view.live_ondemand;
-                cmd.release = live.saturating_sub(desired_total);
-            }
-            FleetPolicy::CostPerToken {
-                parity_permille, ..
-            } => {
-                // Parity mask on top of the capability mask: a pool whose
-                // spot price has spiked to `parity_permille`/1000 of its
-                // on-demand price buys tokens no cheaper than guaranteed
-                // capacity would, while still carrying preemption risk —
-                // stop feeding it. Pools with no price card on file
-                // (on-demand price 0) are never considered spiked.
-                let past_parity = |p: &PoolView| {
-                    p.caps.ondemand_cents_per_hour > 0
-                        && u64::from(p.caps.spot_cents_per_hour) * 1000
-                            >= u64::from(parity_permille)
-                                * u64::from(p.caps.ondemand_cents_per_hour)
-                };
-                let caps: Vec<u32> = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        if p.caps.fits_model
-                            && !past_parity(p)
-                            && !self.tracker.is_backed_off(i, now)
-                        {
-                            p.capacity
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                let hedge = self.hedge(view.target, &caps, now);
-                let desired_total = view.target + view.spares + hedge;
-                let alloc = spread_by_price(desired_total, &caps, |i| {
-                    view.pools[i].caps.spot_cents_per_hour
-                });
-                for (i, (&want, pool)) in alloc.iter().zip(&view.pools).enumerate() {
-                    let have = pool.committed();
-                    cmd.spot[i] = want.saturating_sub(have);
-                    cmd.cancel_spot[i] = have.saturating_sub(want).min(pool.queued_spot);
-                }
-                // On-demand bridges whatever the below-parity pools cannot
-                // reach — including the everything-spiked case, where the
-                // whole target rides guaranteed capacity until spot prices
-                // come back down.
+                // Even the hedged spread cannot reach the target: every
+                // unmasked pool is short at once (on the $/token rung this
+                // includes the everything-spiked case). Bridge the rest
+                // with on-demand.
                 let spot_reachable: u32 = alloc.iter().sum();
                 cmd.ondemand = view
                     .target
                     .saturating_sub(spot_reachable + view.live_ondemand + view.pending_ondemand);
-                cmd.ondemand_pool = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.caps.fits_model)
-                    .min_by_key(|(i, p)| (p.caps.ondemand_cents_per_hour, *i))
-                    .map(|(i, _)| i as u32);
+                if rung >= HedgeRung::CostAware {
+                    // The backstop lands in the cheapest *capable* pool —
+                    // its SKU, its bill — instead of defaulting to pool 0.
+                    cmd.ondemand_pool = view.cheapest_capable_pool();
+                }
                 let live = view.live_spot() + view.live_ondemand;
                 cmd.release = live.saturating_sub(desired_total);
             }
@@ -558,28 +470,25 @@ impl FleetController {
             let live = view.live_spot() + view.live_ondemand + view.pending_ondemand;
             cmd.ondemand = cmd.ondemand.max(view.target.saturating_sub(live));
             if cmd.ondemand > 0 && cmd.ondemand_pool.is_none() {
-                cmd.ondemand_pool = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.caps.fits_model)
-                    .min_by_key(|(i, p)| (p.caps.ondemand_cents_per_hour, *i))
-                    .map(|(i, _)| i as u32);
+                cmd.ondemand_pool = view.cheapest_capable_pool();
             }
         }
         cmd
     }
 
-    /// [`FleetController::command`], recording a
+    /// The serving system's steering call: feeds `view`'s spot prices to
+    /// the estimator (the [`HedgeRung::CostPerToken`] price-pressure
+    /// feed), then computes [`FleetController::command`] and records a
     /// [`TelemetryEvent::FleetCommand`] into `sink` when the command is
-    /// not a noop. With [`telemetry::NoopSink`] this monomorphizes to
-    /// exactly `command` — the event is never even constructed.
+    /// not a noop. With [`telemetry::NoopSink`] the event is never even
+    /// constructed.
     pub fn command_traced<S: TelemetrySink>(
-        &self,
+        &mut self,
         view: &FleetView,
         now: SimTime,
         sink: &mut S,
     ) -> FleetCommand {
+        self.observe_prices(view, now);
         let cmd = self.command(view, now);
         if S::ACTIVE && !cmd.is_noop() {
             sink.record(now, cmd.telemetry_event());
@@ -621,7 +530,9 @@ mod tests {
     }
 
     #[test]
-    fn reactive_tops_up_pool_zero_only() {
+    fn reactive_commands_nothing() {
+        // The serving system runs Algorithm 1's delta path under the
+        // paper baseline; the controller has nothing to add.
         let c = ctl(FleetPolicy::ReactiveSpot, 3);
         let view = FleetView {
             pools: vec![pool(2, 8), pool(0, 8), pool(0, 8)],
@@ -629,9 +540,7 @@ mod tests {
             spares: 2,
             ..Default::default()
         };
-        let cmd = c.command(&view, SimTime::ZERO);
-        assert_eq!(cmd.spot, vec![5, 0, 0]);
-        assert_eq!(cmd.ondemand, 0);
+        assert_eq!(c.command(&view, SimTime::ZERO), FleetCommand::idle(3));
     }
 
     #[test]
@@ -692,19 +601,6 @@ mod tests {
         assert_eq!(cmd.release, 4, "live surplus beyond target+spares releases");
         assert_eq!(cmd.ondemand, 0);
         assert_eq!(cmd.spot, vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds are inverted")]
-    fn inverted_hedge_bounds_fail_fast_at_construction() {
-        ctl(
-            FleetPolicy::SpotHedge {
-                min_hedge: 8,
-                max_hedge: 2,
-                ondemand_backstop: true,
-            },
-            2,
-        );
     }
 
     #[test]
@@ -779,15 +675,15 @@ mod tests {
         }
         let churny = c.hedge(4, &caps, SimTime::from_secs(60));
         assert!(churny > calm, "observed kills must grow the hedge");
-        assert!(churny <= 8, "max_hedge caps the inflation");
+        assert!(churny <= MAX_HEDGE, "MAX_HEDGE caps the inflation");
     }
 
     #[test]
     fn zone_floor_is_zero_with_a_single_pool() {
         let c = ctl(FleetPolicy::spot_hedge(), 1);
-        // One pool: no spread can survive losing it; only min_hedge/churn
+        // One pool: no spread can survive losing it; only MIN_HEDGE/churn
         // apply.
-        assert_eq!(c.hedge(4, &[8], SimTime::ZERO), 1);
+        assert_eq!(c.hedge(4, &[8], SimTime::ZERO), MIN_HEDGE);
     }
 
     #[test]
@@ -822,6 +718,7 @@ mod tests {
             caps: PoolCaps {
                 sku: "x",
                 spot_cents_per_hour: spot_cents,
+                list_spot_cents_per_hour: spot_cents,
                 ondemand_cents_per_hour: od_cents,
                 gpus_per_instance: 4,
                 fits_model: fits,
@@ -1023,39 +920,74 @@ mod tests {
         assert!(cmd.spot.iter().sum::<u32>() >= 4, "{cmd:?}");
     }
 
+    /// A two-pool view whose spot quotes are `cents` against a $3.90/h
+    /// on-demand price (parity threshold: 351 cents).
+    fn quoted(cents: [u32; 2]) -> FleetView {
+        let mut pools = vec![priced_pool(8, 190, 390, true); 2];
+        for (p, c) in pools.iter_mut().zip(cents) {
+            p.caps.spot_cents_per_hour = c;
+        }
+        FleetView {
+            pools,
+            target: 4,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn price_pressure_widens_the_hedge_before_any_kill() {
         let mut c = ctl(FleetPolicy::cost_per_token(), 2);
         let caps = [8, 8];
         let calm = c.hedge(4, &caps, SimTime::ZERO);
-        for k in 0..80 {
-            c.observe_price_pressure(k % 2, 1.0, SimTime::from_secs(k as u64));
+        // Both pools re-quote past parity every second (each quote a
+        // change, so each one is an edge).
+        for k in 0..80u32 {
+            let cents = if k % 2 == 0 { 700 } else { 800 };
+            let view = quoted([cents, cents]);
+            c.command_traced(
+                &view,
+                SimTime::from_secs(u64::from(k)),
+                &mut telemetry::NoopSink,
+            );
         }
         let spiked = c.hedge(4, &caps, SimTime::from_secs(80));
         assert!(
             spiked > calm,
             "pressure must widen the hedge: {spiked} vs {calm}"
         );
-        assert!(spiked <= 8, "max_hedge still caps it");
+        assert!(spiked <= MAX_HEDGE, "MAX_HEDGE still caps it");
     }
 
     #[test]
-    #[should_panic(expected = "zero parity threshold")]
-    fn zero_parity_threshold_fails_fast() {
-        ctl(
-            FleetPolicy::CostPerToken {
-                min_hedge: 1,
-                max_hedge: 8,
-                parity_permille: 0,
-            },
-            2,
-        );
+    fn price_pressure_is_edge_triggered_from_the_list_price() {
+        let t = SimTime::from_secs(5);
+        let rate = |c: &FleetController, pool| c.estimator().rate(pool, t);
+        let mut c = ctl(FleetPolicy::cost_per_token(), 2);
+        // First view: pool 0 quotes its list price (no edge), pool 1
+        // starts spiked — registered against the list-price baseline.
+        let view = quoted([190, 600]);
+        c.command_traced(&view, t, &mut telemetry::NoopSink);
+        assert_eq!(rate(&c, 0), 0.0, "an unchanged quote is not an edge");
+        let after_spike = rate(&c, 1);
+        assert!(after_spike > 0.0, "a scenario that starts spiked registers");
+        // The same quotes again: no new edge, no new pressure.
+        c.command_traced(&view, t, &mut telemetry::NoopSink);
+        assert_eq!(rate(&c, 1), after_spike);
+        // A change that stays below parity is an edge without pressure.
+        c.command_traced(&quoted([300, 600]), t, &mut telemetry::NoopSink);
+        assert_eq!(rate(&c, 0), 0.0);
+        // `command` alone never feeds, and lower rungs never do.
+        let mut aware = ctl(FleetPolicy::cost_aware_hedge(), 2);
+        aware.command_traced(&view, t, &mut telemetry::NoopSink);
+        c.command(&quoted([900, 900]), t);
+        assert_eq!(aware.estimator().rate(1, t), 0.0);
+        assert_eq!(rate(&c, 0), 0.0);
     }
 
     #[test]
     fn command_traced_records_non_noop_commands_only() {
         use telemetry::Recorder;
-        let c = ctl(FleetPolicy::OnDemandFallback, 1);
+        let mut c = ctl(FleetPolicy::OnDemandFallback, 1);
         let mut rec = Recorder::enabled();
         // Satisfied fleet: noop, nothing recorded.
         let satisfied = FleetView {
@@ -1155,6 +1087,7 @@ mod tests {
         for _ in 0..5 {
             c.observe_lapse(0, now);
         }
+        assert!(c.tracker().is_escalated(0));
         let view = FleetView {
             pools: vec![pool(0, 8), pool(0, 8)],
             target: 4,
@@ -1162,8 +1095,7 @@ mod tests {
             ..Default::default()
         };
         let cmd = c.command(&view, now);
-        assert_eq!(cmd.spot, vec![4, 0], "paper baseline retries blindly");
-        assert_eq!(cmd.ondemand, 0, "and never escalates");
+        assert!(cmd.is_noop(), "paper baseline never escalates: {cmd:?}");
     }
 
     #[test]

@@ -9,30 +9,35 @@
 //! and the [`cloudsim::CloudMarket`], observes grants and preemptions, and
 //! decides *where* and *what kind* of capacity to acquire.
 //!
-//! Five [`FleetPolicy`]s are provided:
+//! Three [`FleetPolicy`]s are provided:
 //!
-//! * [`FleetPolicy::ReactiveSpot`] — the paper baseline: top the single
-//!   market (pool 0) back up after losses, never mix in on-demand. The
-//!   serving system's legacy acquisition path is kept *bit-exact* under
-//!   this policy.
+//! * [`FleetPolicy::ReactiveSpot`] — the paper baseline: the serving
+//!   system tops the single market (pool 0) back up through Algorithm 1's
+//!   own delta path and never consults the controller, whose command
+//!   under this policy is idle.
 //! * [`FleetPolicy::OnDemandFallback`] — ride spot, but whenever live
 //!   capacity falls below the optimizer's target `N`, top up with
 //!   on-demand instances (released again once spot recovers). Availability
 //!   becomes a cost knob instead of a trace artifact.
-//! * [`FleetPolicy::SpotHedge`] — SkyServe-style: spread `target + hedge`
-//!   instances evenly across pools (capacity-capped water-filling), sizing
-//!   the hedge so that losing any *single* pool still leaves at least
+//! * [`FleetPolicy::Hedge`] — SkyServe-style: spread `target + hedge`
+//!   instances across pools (capacity-capped water-filling), sizing the
+//!   hedge so that losing any *single* pool still leaves at least
 //!   `target` live instances, inflated further when the
-//!   [`PreemptionEstimator`] observes churn.
-//! * [`FleetPolicy::CostAwareHedge`] — the hedge for heterogeneous
-//!   fleets: each pool carries a [`PoolCaps`] capability/price card,
-//!   incapable SKUs are excluded, the spread biases toward cheap spot,
-//!   and the on-demand backstop lands in the cheapest capable pool.
-//! * [`FleetPolicy::CostPerToken`] — the cost-aware hedge under *dynamic*
-//!   spot prices: pools whose spot price spikes to parity with on-demand
-//!   are masked from the spread, on-demand bridges the gap, and price
-//!   spikes feed the [`PreemptionEstimator`] as an anticipatory
-//!   (price-correlated) kill signal.
+//!   [`PreemptionEstimator`] observes churn, with an on-demand backstop
+//!   when every pool is short. Its [`HedgeRung`] sets how much of each
+//!   pool's [`PoolCaps`] capability/price card it reads; each rung keeps
+//!   the masks of the rungs below and adds its own:
+//!   * [`HedgeRung::PriceBlind`] ([`FleetPolicy::spot_hedge`]) — an even
+//!     spread; only pools backing off after lapsed grants are masked.
+//!   * [`HedgeRung::CostAware`] ([`FleetPolicy::cost_aware_hedge`]) — for
+//!     heterogeneous fleets: SKUs that cannot host the model are masked,
+//!     the spread biases toward cheap spot, and the on-demand backstop
+//!     lands in the cheapest capable pool.
+//!   * [`HedgeRung::CostPerToken`] ([`FleetPolicy::cost_per_token`]) —
+//!     under *dynamic* spot prices: pools whose spot price reaches parity
+//!     with on-demand are masked, on-demand bridges the gap, and price
+//!     spikes feed the [`PreemptionEstimator`] as an anticipatory
+//!     (price-correlated) kill signal.
 //!
 //! The controller is pure decision logic over a [`FleetView`] snapshot —
 //! it holds no cloud handles — which keeps it deterministic, replayable,
@@ -45,7 +50,7 @@ pub mod tracker;
 
 pub use controller::{FleetCommand, FleetController, FleetView, PoolCaps, PoolView};
 pub use estimator::PreemptionEstimator;
-pub use policy::FleetPolicy;
+pub use policy::{FleetPolicy, HedgeRung};
 pub use tracker::{RequestTracker, RetryDecision};
 
 /// Spreads `total` instances across pools by capacity-capped round-robin

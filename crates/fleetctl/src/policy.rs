@@ -1,13 +1,26 @@
 //! Acquisition policies: how the fleet reacts to a spot market.
 
+/// Floor on the hedge (extra spot instances beyond the target), applied
+/// even when the estimator sees no churn and one pool could absorb
+/// everything.
+pub const MIN_HEDGE: u32 = 1;
+
+/// Ceiling on the hedge: over-provisioning is a cost knob, and this caps
+/// what churn can inflate it to.
+pub const MAX_HEDGE: u32 = 8;
+
+/// Spot/on-demand parity threshold of [`HedgeRung::CostPerToken`], in
+/// permille: spot at or above 90% of the pool's on-demand price masks the
+/// pool ("stop riding spot once it costs 90% of guaranteed capacity").
+pub const PARITY_PERMILLE: u32 = 900;
+
 /// How the fleet controller acquires and sheds capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetPolicy {
-    /// The paper baseline (§3.2): request spot from the single market
-    /// (pool 0), top back up after losses, never mix in on-demand unless
-    /// the serving system's own `+O` mixing flag says so. The serving
-    /// system keeps its legacy acquisition path bit-exact under this
-    /// policy.
+    /// The paper baseline (§3.2): the serving system requests spot from
+    /// the single market (pool 0) through Algorithm 1's own delta path,
+    /// counting initializing instances and the `+O` on-demand mixing
+    /// flag. The controller is never consulted and commands nothing.
     #[default]
     ReactiveSpot,
     /// Ride spot, but keep *live* capacity at the optimizer's target `N`:
@@ -16,90 +29,52 @@ pub enum FleetPolicy {
     /// them again once spot recovers (on-demand has release priority —
     /// the paper's Algorithm 1 line 10 rule, applied continuously).
     OnDemandFallback,
-    /// SkyServe-style hedge: spread `target + hedge` spot instances across
-    /// every pool (capacity-capped even spread), sizing `hedge` so that a
-    /// full single-pool outage still leaves `target` live instances, and
-    /// inflating it when the preemption-rate estimator observes churn.
-    SpotHedge {
-        /// Floor on the hedge (extra instances beyond target), applied
-        /// even when the estimator sees no churn and one pool could
-        /// absorb everything.
-        min_hedge: u32,
-        /// Ceiling on the hedge: over-provisioning is a cost knob, and
-        /// this caps what churn can inflate it to.
-        max_hedge: u32,
-        /// Also fall back to on-demand when even the hedged spread cannot
-        /// reach `target` (every pool short on capacity at once).
-        ondemand_backstop: bool,
-    },
-    /// [`FleetPolicy::SpotHedge`] for heterogeneous fleets: pools whose
-    /// SKU cannot host the model are excluded outright, the hedged spread
-    /// biases its remainder toward the cheapest spot pools (same share
-    /// multiset as the even spread, so one-outage survivability is
-    /// unchanged), and the on-demand backstop lands in the *cheapest
-    /// capable* pool's SKU instead of pool 0's.
-    CostAwareHedge {
-        /// Floor on the hedge, as in [`FleetPolicy::SpotHedge`].
-        min_hedge: u32,
-        /// Ceiling on the hedge, as in [`FleetPolicy::SpotHedge`].
-        max_hedge: u32,
-        /// Bridge to on-demand (in the cheapest capable pool) when the
-        /// hedged spread cannot reach `target`.
-        ondemand_backstop: bool,
-    },
-    /// [`FleetPolicy::CostAwareHedge`] optimizing $ per token under
-    /// *dynamic* spot prices: pools whose current spot price has spiked
-    /// to at or past `parity_permille`/1000 of their on-demand price are
-    /// masked out of the spot spread entirely — preemptible capacity at
-    /// on-demand parity buys nothing but risk — and on-demand (in the
-    /// cheapest capable pool) bridges whatever the cheap pools cannot
-    /// reach. Price spikes also feed the preemption estimator as an
-    /// anticipatory kill signal, widening the hedge *before* the
+    /// The multi-pool hedge: spread `target + hedge` spot instances
+    /// across every pool, sizing `hedge` so that a full single-pool
+    /// outage still leaves `target` live instances, inflating it when the
+    /// preemption-rate estimator observes churn, and bridging with
+    /// on-demand when even the spread cannot reach the target. The rung
+    /// says how much of the pools' price cards the hedge reads.
+    Hedge(HedgeRung),
+}
+
+/// How price-aware a [`FleetPolicy::Hedge`] is. Rungs are ordered: each
+/// keeps every mask and bias of the rungs below it and adds its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum HedgeRung {
+    /// SkyServe-style: the spread is even (capacity-capped water-filling
+    /// in pool order), only backed-off pools are masked, and the
+    /// on-demand backstop keeps the legacy pool-0 routing.
+    PriceBlind,
+    /// For heterogeneous fleets: pools whose SKU cannot host the model
+    /// are masked, the spread biases its remainder toward the cheapest
+    /// spot pools (same share multiset as the even spread, so one-outage
+    /// survivability is unchanged), and the backstop lands in the
+    /// cheapest *capable* pool.
+    CostAware,
+    /// $ per token under *dynamic* spot prices: pools whose current spot
+    /// price is at or past [`PARITY_PERMILLE`] of their on-demand price
+    /// are masked too — preemptible capacity at on-demand parity buys
+    /// nothing but risk — and price spikes feed the preemption estimator
+    /// as an anticipatory kill signal, widening the hedge *before* the
     /// price-correlated kills land.
-    CostPerToken {
-        /// Floor on the hedge, as in [`FleetPolicy::SpotHedge`].
-        min_hedge: u32,
-        /// Ceiling on the hedge, as in [`FleetPolicy::SpotHedge`].
-        max_hedge: u32,
-        /// Spot/on-demand parity threshold, in permille: spot at or above
-        /// `parity_permille`/1000 of on-demand masks the pool. `900`
-        /// means "stop riding spot once it costs 90% of guaranteed
-        /// capacity".
-        parity_permille: u32,
-    },
+    CostPerToken,
 }
 
 impl FleetPolicy {
-    /// The default [`FleetPolicy::SpotHedge`] tuning: hedge between 1 and
-    /// 8 instances, on-demand backstop enabled.
+    /// The price-blind hedge ([`HedgeRung::PriceBlind`]).
     pub fn spot_hedge() -> Self {
-        FleetPolicy::SpotHedge {
-            min_hedge: 1,
-            max_hedge: 8,
-            ondemand_backstop: true,
-        }
+        FleetPolicy::Hedge(HedgeRung::PriceBlind)
     }
 
-    /// The default [`FleetPolicy::CostAwareHedge`] tuning: the
-    /// [`FleetPolicy::spot_hedge`] bounds, with the backstop routed by
-    /// price.
+    /// The SKU- and price-aware hedge ([`HedgeRung::CostAware`]).
     pub fn cost_aware_hedge() -> Self {
-        FleetPolicy::CostAwareHedge {
-            min_hedge: 1,
-            max_hedge: 8,
-            ondemand_backstop: true,
-        }
+        FleetPolicy::Hedge(HedgeRung::CostAware)
     }
 
-    /// The default [`FleetPolicy::CostPerToken`] tuning: the
-    /// [`FleetPolicy::spot_hedge`] bounds with a 90% price-parity
-    /// threshold.
+    /// The $/token hedge ([`HedgeRung::CostPerToken`]).
     pub fn cost_per_token() -> Self {
-        FleetPolicy::CostPerToken {
-            min_hedge: 1,
-            max_hedge: 8,
-            parity_permille: 900,
-        }
+        FleetPolicy::Hedge(HedgeRung::CostPerToken)
     }
 
     /// Whether the serving system should keep its legacy (paper-exact)
@@ -113,12 +88,7 @@ impl FleetPolicy {
     /// verdicts. The reactive baseline stays paper-exact and retries
     /// blindly; the fallback already rides on-demand continuously.
     pub fn is_hedged(&self) -> bool {
-        matches!(
-            self,
-            FleetPolicy::SpotHedge { .. }
-                | FleetPolicy::CostAwareHedge { .. }
-                | FleetPolicy::CostPerToken { .. }
-        )
+        matches!(self, FleetPolicy::Hedge(_))
     }
 }
 
@@ -134,33 +104,31 @@ mod tests {
     }
 
     #[test]
-    fn cost_per_token_defaults_stop_short_of_parity() {
-        let FleetPolicy::CostPerToken {
-            min_hedge,
-            max_hedge,
-            parity_permille,
-        } = FleetPolicy::cost_per_token()
-        else {
-            panic!("cost_per_token() must build a CostPerToken");
-        };
-        assert!(min_hedge <= max_hedge);
-        assert!(
-            parity_permille < 1000,
-            "the default must bail out strictly below on-demand parity"
-        );
+    fn presets_are_the_three_ordered_hedge_rungs() {
+        let presets = [
+            FleetPolicy::spot_hedge(),
+            FleetPolicy::cost_aware_hedge(),
+            FleetPolicy::cost_per_token(),
+        ];
+        let rungs: Vec<HedgeRung> = presets
+            .iter()
+            .map(|p| match p {
+                FleetPolicy::Hedge(rung) => *rung,
+                other => panic!("{other:?} is not a hedge preset"),
+            })
+            .collect();
+        assert!(rungs.windows(2).all(|w| w[0] < w[1]), "{rungs:?}");
+        assert!(presets.iter().all(FleetPolicy::is_hedged));
     }
 
     #[test]
-    fn hedge_defaults_are_bounded() {
-        let FleetPolicy::SpotHedge {
-            min_hedge,
-            max_hedge,
-            ondemand_backstop,
-        } = FleetPolicy::spot_hedge()
-        else {
-            panic!("spot_hedge() must build a SpotHedge");
+    fn hedge_constants_are_bounded_and_stop_short_of_parity() {
+        const { assert!(MIN_HEDGE <= MAX_HEDGE) };
+        const {
+            assert!(
+                0 < PARITY_PERMILLE && PARITY_PERMILLE < 1000,
+                "bail out strictly below on-demand parity"
+            )
         };
-        assert!(min_hedge <= max_hedge);
-        assert!(ondemand_backstop);
     }
 }

@@ -7,6 +7,7 @@
 //! the suites call.
 
 use spotserve::{InvariantAuditor, RunReport};
+use telemetry::Fnv1a;
 
 /// Canonical byte-exact rendering of everything a run produced: floats
 /// via their IEEE-754 bit patterns (so "close enough" can never pass),
@@ -14,6 +15,18 @@ use spotserve::{InvariantAuditor, RunReport};
 #[allow(dead_code)] // each suite compiles this module separately
 pub fn canonical(report: &RunReport) -> String {
     report.canonical()
+}
+
+/// FNV-1a digest of a rendering (canonical report or JSONL stream), for
+/// golden pins: a refactor that must keep behaviour fixed compares against
+/// a constant, not just against a second run of itself.
+#[allow(dead_code)] // each suite compiles this module separately
+pub fn digest(rendering: &str) -> u64 {
+    use std::fmt::Write;
+    let mut h = Fnv1a::new();
+    h.write_str(rendering)
+        .expect("hashing into FNV-1a cannot fail");
+    h.finish()
 }
 
 /// Runs the [`InvariantAuditor`] over `report` pinned to `expected`

@@ -14,7 +14,7 @@ use simkit::SimTime;
 use spotserve::{EngineMode, Scenario, ServingSystem, SystemOptions};
 
 mod common;
-use common::canonical;
+use common::{canonical, digest};
 
 fn replay(opts: SystemOptions, seed: u64) -> String {
     let mut scenario = Scenario::paper_stable(
@@ -154,12 +154,17 @@ fn replay_multi_pool(seed: u64) -> String {
     canonical(&report)
 }
 
+/// Golden digest of `replay_multi_pool(29)`: pins the price-blind hedge's
+/// answer itself, not only its run-to-run repeatability.
+const MULTI_POOL_DIGEST: u64 = 0xc196_4ec3_11d8_3662;
+
 #[test]
 fn multi_pool_hedge_replays_byte_identical() {
     let a = replay_multi_pool(29);
     let b = replay_multi_pool(29);
     assert!(!a.is_empty());
     assert_eq!(a, b, "multi-pool hedged replays must be byte-identical");
+    assert_eq!(digest(&a), MULTI_POOL_DIGEST, "price-blind hedge drifted");
     assert!(
         a.contains("name=z2"),
         "the canonical form must carry the per-pool breakdown"
@@ -201,12 +206,16 @@ fn replay_mixed_sku(seed: u64) -> String {
     canonical(&report)
 }
 
+/// Golden digest of `replay_mixed_sku(31)` (the cost-aware hedge).
+const MIXED_SKU_DIGEST: u64 = 0x5e74_b6ab_95ab_de31;
+
 #[test]
 fn mixed_sku_fleet_replays_byte_identical() {
     let a = replay_mixed_sku(31);
     let b = replay_mixed_sku(31);
     assert!(!a.is_empty());
     assert_eq!(a, b, "mixed-SKU replays must be byte-identical");
+    assert_eq!(digest(&a), MIXED_SKU_DIGEST, "cost-aware hedge drifted");
     for sku in ["p4d.24xlarge", "g6.12xlarge", "p5.48xlarge"] {
         assert!(
             a.contains(&format!("sku={sku}")),
@@ -296,6 +305,10 @@ fn replay_ou_priced(seed: u64) -> String {
     canonical(&report)
 }
 
+/// Golden digest of `replay_ou_priced(43)` (the $/token hedge, with
+/// parity masking and the price-pressure feed).
+const OU_PRICED_DIGEST: u64 = 0xe984_b04f_79fb_30d0;
+
 #[test]
 fn ou_priced_cost_per_token_replays_byte_identical() {
     let a = replay_ou_priced(43);
@@ -305,6 +318,7 @@ fn ou_priced_cost_per_token_replays_byte_identical() {
         a, b,
         "OU-priced CostPerToken replays must be byte-identical"
     );
+    assert_eq!(digest(&a), OU_PRICED_DIGEST, "$/token hedge drifted");
     assert!(
         a.contains("name=ou1"),
         "the canonical form must carry the per-pool breakdown"
@@ -583,6 +597,11 @@ fn replay_chaos(seed: u64) -> (String, String) {
     (canonical(&report), jsonl)
 }
 
+/// Golden digests of `replay_chaos(73)`: the canonical report and the
+/// telemetry JSONL of the price-blind hedge under the fault pack.
+const CHAOS_DIGEST: u64 = 0xf93a_269c_355d_17c7;
+const CHAOS_STREAM_DIGEST: u64 = 0x6115_4573_a068_1c76;
+
 #[test]
 fn chaos_replays_byte_identical() {
     let (a, a_stream) = replay_chaos(73);
@@ -590,6 +609,12 @@ fn chaos_replays_byte_identical() {
     assert!(!a.is_empty());
     assert_eq!(a, b, "chaos replays must be byte-identical");
     assert_eq!(a_stream, b_stream, "chaos telemetry must replay exactly");
+    assert_eq!(digest(&a), CHAOS_DIGEST, "hedge under chaos drifted");
+    assert_eq!(
+        digest(&a_stream),
+        CHAOS_STREAM_DIGEST,
+        "hedge telemetry under chaos drifted"
+    );
     assert!(
         a.lines()
             .any(|l| l.starts_with("faults=") && l != "faults=0"),

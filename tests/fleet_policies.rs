@@ -15,7 +15,7 @@ use spotserve::{FleetPolicy, RunReport, Scenario, ServingSystem, SystemOptions};
 use workload::apply_slo;
 
 mod common;
-use common::canonical;
+use common::{canonical, digest};
 
 /// The scripted single-zone collapse: `z0` healthy then dead at t = 300 s,
 /// `z1`/`z2` steady.
@@ -190,6 +190,12 @@ fn spot_hedge_survives_a_full_single_pool_outage() {
     );
 }
 
+/// Golden digests of the squeeze below (seed 61): the price-blind hedge,
+/// and the $/token hedge whose parity mask and price-pressure feed both
+/// fire on this scenario.
+const SQUEEZE_HEDGE_DIGEST: u64 = 0xb382_c515_daed_1e3c;
+const SQUEEZE_COST_PER_TOKEN_DIGEST: u64 = 0xf978_1df0_f386_b0f4;
+
 #[test]
 fn cost_per_token_undercuts_the_price_blind_hedge_through_a_squeeze() {
     // A spot-market squeeze: the cheap pool collapses at t = 300 s while
@@ -228,6 +234,8 @@ fn cost_per_token_undercuts_the_price_blind_hedge_through_a_squeeze() {
     };
     let hedge = run(FleetPolicy::spot_hedge());
     let cpt = run(FleetPolicy::cost_per_token());
+    assert_eq!(digest(&canonical(&hedge)), SQUEEZE_HEDGE_DIGEST);
+    assert_eq!(digest(&canonical(&cpt)), SQUEEZE_COST_PER_TOKEN_DIGEST);
     assert_eq!(cpt.unfinished, 0, "the optimizer may never lose requests");
     assert!(
         cpt.slo_rejections.len() <= hedge.slo_rejections.len(),
