@@ -22,7 +22,6 @@ fn controller_view(pools: usize) -> FleetView {
                 caps: PoolCaps {
                     sku: "g4dn.12xlarge",
                     spot_cents_per_hour: 190 + (i % 4) as u32 * 75,
-                    list_spot_cents_per_hour: 190 + (i % 4) as u32 * 75,
                     ondemand_cents_per_hour: 390 + (i % 4) as u32 * 110,
                     gpus_per_instance: 4,
                     fits_model: i % 7 != 6,

@@ -3,15 +3,14 @@
 //! A [`CloudMarket`] owns one [`CloudSim`] per [`PoolSpec`] and merges
 //! their event streams deterministically (earliest timestamp first, ties
 //! broken by pool index). Each pool replays its own
-//! [`AvailabilityTrace`], applies its own grant delay and spot price, and
-//! meters its own bill; the market exposes both the merged legacy surface
-//! (so a single-pool market is a drop-in, bit-exact replacement for a bare
-//! [`CloudSim`]) and pool-addressed commands for policy-driven acquisition
-//! (see the `fleetctl` crate).
+//! [`AvailabilityTrace`](crate::AvailabilityTrace), applies its own grant
+//! delay and spot price, and meters its own bill; commands are
+//! pool-addressed, for both the paper's single-market loop (pool 0) and
+//! policy-driven acquisition (see the `fleetctl` crate). A single-pool
+//! market is a bit-exact replacement for a bare [`CloudSim`].
 //!
-//! Instance ids encode their pool ([`POOL_ID_STRIDE`]): pool 0 allocates
-//! the exact id sequence a bare `CloudSim` would, which is what keeps
-//! pre-multi-pool replays byte-identical.
+//! Instance ids encode their pool ([`POOL_ID_STRIDE`](crate::POOL_ID_STRIDE)):
+//! pool 0 allocates the exact id sequence a bare `CloudSim` would.
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@ use crate::instance::{InstanceId, InstanceKind, InstanceType};
 use crate::pool::{PoolId, PoolSpec};
 use crate::price::PriceModel;
 use crate::provider::{CloudConfig, CloudSim, InstanceInfo};
-use crate::trace::AvailabilityTrace;
 
 /// Spend attributed to one pool, split by billing kind.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,9 +83,7 @@ impl CostBreakdown {
 
 /// Several spot pools behind one deterministic event stream.
 ///
-/// See the [module docs](self) for the merge rules. All legacy
-/// (pool-less) commands address pool 0, which makes a single-pool market
-/// behave exactly like the bare [`CloudSim`] it wraps.
+/// See the [module docs](self) for the merge rules.
 #[derive(Debug, Clone)]
 pub struct CloudMarket {
     pools: Vec<CloudSim>,
@@ -98,16 +94,6 @@ pub struct CloudMarket {
 }
 
 impl CloudMarket {
-    /// A single-pool market: bit-exact with `CloudSim::new(cfg, trace,
-    /// seed)` (same random stream, same id sequence, same event order).
-    pub fn single(cfg: CloudConfig, trace: AvailabilityTrace, seed: u64) -> Self {
-        CloudMarket {
-            pools: vec![CloudSim::new(cfg, trace, seed)],
-            names: vec!["default".to_string()],
-            telemetry: Recorder::disabled(),
-        }
-    }
-
     /// A market of `specs.len()` pools. Pool `i` inherits `base` with its
     /// spec's instance-type / grant-delay / spot-price overrides applied
     /// (the price override applies on top of the pool's own SKU), replays
@@ -129,13 +115,13 @@ impl CloudMarket {
                 if let Some(d) = spec.spot_grant_delay {
                     cfg.spot_grant_delay = d;
                 }
-                // A constant price model takes the legacy list-price
-                // override path (bit-exact with the pre-dynamics market);
-                // dynamic models ride into the provider whole.
+                // A constant price model overrides the SKU's list price, so
+                // the instance type the pool reports quotes the price in
+                // force.
                 if let Some(p) = spec.price.as_ref().and_then(PriceModel::constant_price) {
                     cfg.instance_type.spot_price_per_hour = p;
                 }
-                CloudSim::for_pool_faulted(
+                CloudSim::for_pool(
                     cfg,
                     spec.trace.clone(),
                     seed,
@@ -290,8 +276,8 @@ impl CloudMarket {
     }
 
     /// The spot price in force in `pool` at `t` (USD per instance-hour).
-    /// For pools without a [`PriceModel`](crate::PriceModel) this is the
-    /// SKU's list price; for priced pools it reads the pre-drawn path.
+    /// For pools without a [`PriceModel`] this is the SKU's list price;
+    /// for priced pools it reads the pre-drawn path.
     pub fn spot_price_in(&self, pool: PoolId, t: SimTime) -> f64 {
         self.pool(pool).spot_price_at(t)
     }
@@ -310,31 +296,12 @@ impl CloudMarket {
     }
 
     /// Requests `n` on-demand instances *of `pool`'s SKU* at `now` (billed
-    /// against that pool). The pool-less [`request_on_demand`] routes to
-    /// pool 0.
-    ///
-    /// [`request_on_demand`]: CloudMarket::request_on_demand
+    /// against that pool).
     pub fn request_on_demand_in(&mut self, now: SimTime, pool: PoolId, n: u32) {
         self.pool_mut(pool).request_on_demand(now, n);
     }
 
-    // ---- Legacy (pool-0) surface -----------------------------------
-
-    /// Requests `n` spot instances from pool 0 (the legacy single-market
-    /// surface; pool-aware callers use [`CloudMarket::request_spot_in`]).
-    pub fn request_spot(&mut self, now: SimTime, n: u32) {
-        self.request_spot_in(now, PoolId(0), n);
-    }
-
-    /// Cancels up to `n` queued spot requests in pool 0.
-    pub fn cancel_pending_spot(&mut self, n: u32) -> u32 {
-        self.cancel_pending_spot_in(PoolId(0), n)
-    }
-
-    /// Prewarms `n` spot instances in pool 0.
-    pub fn prewarm_spot(&mut self, n: u32) -> Vec<InstanceId> {
-        self.prewarm_spot_in(PoolId(0), n)
-    }
+    // ---- Fleet-wide surface ----------------------------------------
 
     /// Prewarms `n` on-demand instances (granted by pool 0; on-demand
     /// capacity is pool-agnostic).
@@ -342,17 +309,6 @@ impl CloudMarket {
         let ids = self.pools[0].prewarm_on_demand(n);
         self.note_prewarm(PoolId(0), &ids, true);
         ids
-    }
-
-    /// Requests `n` on-demand instances (granted by pool 0; on-demand
-    /// capacity is unlimited and pool-agnostic).
-    pub fn request_on_demand(&mut self, now: SimTime, n: u32) {
-        self.pools[0].request_on_demand(now, n);
-    }
-
-    /// Pool 0's current trace capacity (the legacy single-market view).
-    pub fn current_capacity(&self) -> u32 {
-        self.pools[0].current_capacity()
     }
 
     /// Sum of every pool's current trace capacity.
@@ -426,27 +382,6 @@ impl CloudMarket {
         popped
     }
 
-    // ---- Per-pool event streams ------------------------------------
-    //
-    // The sharded simulation core partitions pools across shards; a shard
-    // drains exactly its own pools' streams. Interleaving every pool's
-    // stream by `(time, pool index)` reproduces `pop_next`'s merged order,
-    // so sharded and merged consumers see the same events.
-
-    /// Timestamp of the next deliverable event in one pool's stream.
-    pub fn peek_time_in(&mut self, pool: PoolId) -> Option<SimTime> {
-        self.pool_mut(pool).peek_time()
-    }
-
-    /// Pops the next deliverable event from one pool's stream.
-    pub fn pop_next_in(&mut self, pool: PoolId) -> Option<(SimTime, CloudEvent)> {
-        let popped = self.pool_mut(pool).pop_next();
-        if let Some((t, ev)) = &popped {
-            self.note_event(*t, ev);
-        }
-        popped
-    }
-
     // ---- Billing ---------------------------------------------------
 
     /// Total spend in USD as of `now`, summed over pools in pool order
@@ -477,7 +412,18 @@ impl CloudMarket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::AvailabilityTrace;
     use simkit::SimDuration;
+
+    /// A one-pool market, built the way the serving system builds a
+    /// scenario that names no pools.
+    fn single(trace: AvailabilityTrace, seed: u64) -> CloudMarket {
+        CloudMarket::new(
+            &CloudConfig::default(),
+            &[PoolSpec::new("default", trace)],
+            seed,
+        )
+    }
 
     fn drain_sim(c: &mut CloudSim) -> Vec<(SimTime, String)> {
         std::iter::from_fn(|| c.pop_next())
@@ -498,11 +444,11 @@ mod tests {
         // pre-multi-pool replay byte-identical.
         let trace = AvailabilityTrace::paper_bs();
         let mut sim = CloudSim::new(CloudConfig::default(), trace.clone(), 99);
-        let mut market = CloudMarket::single(CloudConfig::default(), trace, 99);
+        let mut market = single(trace, 99);
         sim.request_spot(SimTime::ZERO, 10);
-        market.request_spot(SimTime::ZERO, 10);
+        market.request_spot_in(SimTime::ZERO, PoolId(0), 10);
         sim.request_on_demand(SimTime::from_secs(5), 2);
-        market.request_on_demand(SimTime::from_secs(5), 2);
+        market.request_on_demand_in(SimTime::from_secs(5), PoolId(0), 2);
         assert_eq!(drain_sim(&mut sim), drain_market(&mut market));
         let end = SimTime::from_secs(1200);
         assert_eq!(
@@ -552,52 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn per_pool_streams_interleave_to_the_merged_stream() {
-        let pools = vec![
-            PoolSpec::new("a", AvailabilityTrace::paper_bs()),
-            PoolSpec::new("b", AvailabilityTrace::constant(2)).with_spot_price(1.4),
-            PoolSpec::new("c", AvailabilityTrace::constant(1))
-                .with_grant_delay(SimDuration::from_secs(80)),
-        ];
-        let make = || {
-            let mut m = CloudMarket::new(&CloudConfig::default(), &pools, 17);
-            m.request_spot_in(SimTime::ZERO, PoolId(0), 4);
-            m.request_spot_in(SimTime::ZERO, PoolId(1), 2);
-            m.request_spot_in(SimTime::ZERO, PoolId(2), 1);
-            m.request_on_demand(SimTime::from_secs(10), 1);
-            m
-        };
-
-        let merged = drain_market(&mut make());
-
-        // Drain each pool's stream independently, then interleave by
-        // (time, pool index) — must reproduce the merged order exactly.
-        let mut m = make();
-        let mut per_pool: Vec<Vec<(SimTime, String)>> = (0..3)
-            .map(|p| {
-                std::iter::from_fn(|| m.pop_next_in(PoolId(p)))
-                    .map(|(t, e)| (t, format!("{e:?}")))
-                    .collect()
-            })
-            .collect();
-        let mut interleaved = Vec::new();
-        loop {
-            let mut best: Option<(SimTime, usize)> = None;
-            for (p, evs) in per_pool.iter().enumerate() {
-                if let Some(&(t, _)) = evs.first() {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, p));
-                    }
-                }
-            }
-            let Some((_, p)) = best else { break };
-            interleaved.push(per_pool[p].remove(0));
-        }
-        assert_eq!(interleaved, merged);
-        assert_eq!(m.peek_time_in(PoolId(0)), None, "pool 0 fully drained");
-    }
-
-    #[test]
     fn per_pool_price_and_grant_delay_overrides_apply() {
         let pools = vec![
             PoolSpec::new("list-price", AvailabilityTrace::constant(1)),
@@ -627,8 +527,8 @@ mod tests {
 
     #[test]
     fn breakdown_splits_spot_from_on_demand() {
-        let mut m = CloudMarket::single(CloudConfig::default(), AvailabilityTrace::constant(1), 7);
-        let spot = m.prewarm_spot(1);
+        let mut m = single(AvailabilityTrace::constant(1), 7);
+        let spot = m.prewarm_spot_in(PoolId(0), 1);
         let od = m.prewarm_on_demand(1);
         let end = SimTime::from_secs(3600);
         m.release(end, spot[0]);

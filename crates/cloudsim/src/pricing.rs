@@ -12,12 +12,12 @@ use crate::instance::{InstanceId, InstanceKind, InstanceType};
 /// released or preempted, at the per-hour price of its billing kind.
 /// Per-second granularity (like real clouds since 2017).
 ///
-/// When the pool's spot price moves (see
-/// [`PriceModel`](crate::PriceModel)), the meter holds the price *path* —
-/// a step function — and integrates each spot lease over it exactly, so
-/// the bill reflects the price actually paid during every segment of the
-/// lease, not a constant. Without a path (the default), the arithmetic is
-/// the original fixed-price expression, bit-for-bit.
+/// Spot leases bill against the pool's price *path* — a step function
+/// (see [`PriceModel`](crate::PriceModel)) — integrated exactly, so the
+/// bill reflects the price actually paid during every segment of the
+/// lease. A constant price is the one-step path `[(0, p)]`, which the
+/// meter starts with at the instance type's list price: its single
+/// segment bills `0.0 + p·s/3600`, the fixed-price product bit-for-bit.
 ///
 /// # Example
 ///
@@ -32,7 +32,7 @@ use crate::instance::{InstanceId, InstanceKind, InstanceType};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BillingMeter {
-    instance_type: InstanceType,
+    ondemand_price_per_hour: f64,
     // Ordered map: `total_usd` sums open leases in iteration order, and
     // float addition is not associative — a hash map would make the total
     // differ by an ulp between identically-seeded runs.
@@ -46,29 +46,28 @@ pub struct BillingMeter {
     closed_usd_spot: f64,
     closed_usd_on_demand: f64,
     closed_time: BTreeMap<&'static str, SimDuration>,
-    // The spot-price path as `(time, usd_per_hour)` steps. Empty means the
-    // price never moves and spot bills at the instance type's list price
-    // through the exact legacy expression.
+    // The spot-price path as `(time, usd_per_hour)` steps: never empty,
+    // and the first step is at `t = 0`.
     spot_path: Vec<(SimTime, f64)>,
 }
 
 impl BillingMeter {
-    /// Creates a meter for a fleet of the given instance type.
+    /// Creates a meter for a fleet of the given instance type, billing
+    /// spot at its list price (the one-step path).
     pub fn new(instance_type: InstanceType) -> Self {
         BillingMeter {
-            instance_type,
+            ondemand_price_per_hour: instance_type.ondemand_price_per_hour,
+            spot_path: vec![(SimTime::ZERO, instance_type.spot_price_per_hour)],
             open: BTreeMap::new(),
             closed_usd: 0.0,
             closed_usd_spot: 0.0,
             closed_usd_on_demand: 0.0,
             closed_time: BTreeMap::new(),
-            spot_path: Vec::new(),
         }
     }
 
-    /// Installs a dynamic spot-price path: spot leases integrate this step
-    /// function instead of charging the list price. Steps must start at
-    /// `t = 0` and be strictly increasing (see
+    /// Installs the spot-price path spot leases integrate. Steps must
+    /// start at `t = 0` and be strictly increasing (see
     /// [`PriceModel::path`](crate::PriceModel::path)).
     ///
     /// # Panics
@@ -80,19 +79,19 @@ impl BillingMeter {
             self.open.is_empty(),
             "the price path must be installed before any lease opens"
         );
-        if !path.is_empty() {
-            assert_eq!(path[0].0, SimTime::ZERO, "price path must start at t=0");
-            for w in path.windows(2) {
-                assert!(w[0].0 < w[1].0, "price path must be strictly increasing");
-            }
+        assert!(
+            path.first().is_some_and(|&(t, _)| t == SimTime::ZERO),
+            "price path must start at t=0"
+        );
+        for w in path.windows(2) {
+            assert!(w[0].0 < w[1].0, "price path must be strictly increasing");
         }
         self.spot_path = path;
     }
 
-    /// The spot price in force at `t` (the path's step, or the instance
-    /// type's list price when no path is installed).
+    /// The spot price in force at `t` (the path's step).
     pub fn spot_price_at(&self, t: SimTime) -> f64 {
-        crate::price::price_at(&self.spot_path, t).unwrap_or(self.instance_type.spot_price_per_hour)
+        crate::price::price_at(&self.spot_path, t).expect("the path starts at t=0")
     }
 
     /// Records the start of a lease.
@@ -124,17 +123,13 @@ impl BillingMeter {
         }
     }
 
-    fn cost_of(&self, kind: InstanceKind, dur: SimDuration) -> f64 {
-        self.instance_type.price_per_hour(kind) * dur.as_secs_f64() / 3600.0
-    }
-
-    /// Spend of one lease over `[start, end)`. On-demand leases and spot
-    /// leases without a price path take the legacy fixed-price expression
-    /// (bit-for-bit); spot leases with a path integrate it segment by
-    /// segment.
+    /// Spend of one lease over `[start, end)`. On-demand leases bill the
+    /// fixed on-demand price; spot leases integrate the price path segment
+    /// by segment.
     fn lease_usd(&self, kind: InstanceKind, start: SimTime, end: SimTime) -> f64 {
-        if kind == InstanceKind::OnDemand || self.spot_path.is_empty() {
-            return self.cost_of(kind, end.saturating_since(start));
+        if kind == InstanceKind::OnDemand {
+            let secs = end.saturating_since(start).as_secs_f64();
+            return self.ondemand_price_per_hour * secs / 3600.0;
         }
         let mut usd = 0.0;
         // First step at or before `start` (the path starts at t=0, so any
@@ -304,17 +299,17 @@ mod tests {
         let run = |with_path: bool| {
             let mut m = meter();
             if with_path {
-                // A single-step path at the list price is the same math.
+                // Installing the list-price step explicitly changes nothing:
+                // a new meter already bills the one-step path.
                 m.set_spot_path(vec![(SimTime::ZERO, 1.9)]);
             }
             m.lease_started(InstanceId(1), InstanceKind::Spot, SimTime::from_secs(7));
             m.lease_ended(InstanceId(1), SimTime::from_secs(12_345));
             m.total_usd(SimTime::from_secs(20_000))
         };
-        // Not bit-exact by construction (the integral multiplies segment
-        // seconds, the legacy path multiplies total seconds) but the
-        // single-segment case collapses to the same product.
-        assert_eq!(run(false).to_bits(), run(true).to_bits());
+        let fixed = 1.9 * SimDuration::from_secs(12_338).as_secs_f64() / 3600.0;
+        assert_eq!(run(false).to_bits(), fixed.to_bits());
+        assert_eq!(run(true).to_bits(), fixed.to_bits());
     }
 
     #[test]
@@ -332,5 +327,46 @@ mod tests {
         m.set_spot_path(vec![(SimTime::ZERO, 1.5), (SimTime::from_secs(60), 9.0)]);
         assert_eq!(m.spot_price_at(SimTime::ZERO), 1.5);
         assert_eq!(m.spot_price_at(SimTime::from_secs(61)), 9.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const DAY_US: u64 = 86_400 * 1_000_000;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// A one-step price path bills exactly the fixed-price product
+        /// `p·secs/3600`, bit for bit: for a closed lease, for an open
+        /// lease accruing to `now`, and in the per-kind spot split.
+        #[test]
+        fn one_step_path_bills_the_fixed_price_product(
+            price in 0.0f64..50.0,
+            start_us in 0u64..DAY_US,
+            closed_us in 0u64..DAY_US,
+            open_us in 0u64..DAY_US,
+        ) {
+            let mut m = BillingMeter::new(InstanceType::g4dn_12xlarge());
+            m.set_spot_path(vec![(SimTime::ZERO, price)]);
+            let start = SimTime::from_micros(start_us);
+            let end = start + SimDuration::from_micros(closed_us);
+            let now = end + SimDuration::from_micros(open_us);
+            let fixed = |from: SimTime, to: SimTime| {
+                price * to.saturating_since(from).as_secs_f64() / 3600.0
+            };
+            m.lease_started(InstanceId(1), InstanceKind::Spot, start);
+            m.lease_ended(InstanceId(1), end);
+            prop_assert_eq!(m.total_usd(end).to_bits(), fixed(start, end).to_bits());
+            m.lease_started(InstanceId(2), InstanceKind::Spot, end);
+            let want = fixed(start, end) + fixed(end, now);
+            prop_assert_eq!(m.total_usd(now).to_bits(), want.to_bits());
+            prop_assert_eq!(
+                m.usd_of_kind(InstanceKind::Spot, now).to_bits(),
+                want.to_bits()
+            );
+        }
     }
 }

@@ -102,16 +102,12 @@ pub struct CloudSim {
     capacity: u32,
     meter: BillingMeter,
     started: bool,
-    /// The pre-drawn spot-price path (empty = constant list price). A pure
-    /// function of the seed, so lookups never depend on event-processing
-    /// progress.
-    price_path: Vec<(SimTime, f64)>,
     /// Per-step probability of one price-correlated preemption, aligned
-    /// with `price_path`.
+    /// with the meter's pre-drawn price path.
     price_kill_probs: Vec<f64>,
-    /// Dedicated stream for price-correlated preemption draws; `None` when
-    /// the price never moves, so constant-price pools draw nothing extra.
-    price_rng: Option<SimRng>,
+    /// Dedicated stream for price-correlated preemption draws; only steps
+    /// with a nonzero kill probability draw from it.
+    price_rng: SimRng,
     /// Which pool of a multi-pool market this provider is (pool 0 for the
     /// single-market form); stamped on pool-scoped events like re-quotes.
     pool: crate::PoolId,
@@ -128,7 +124,7 @@ impl CloudSim {
     /// Creates a provider replaying `trace`, with randomness derived from
     /// `seed` (victim selection on capacity drops).
     pub fn new(cfg: CloudConfig, trace: AvailabilityTrace, seed: u64) -> Self {
-        CloudSim::for_pool(cfg, trace, seed, crate::PoolId(0))
+        CloudSim::for_pool(cfg, trace, seed, crate::PoolId(0), None, None)
     }
 
     /// Creates the provider for one pool of a multi-pool market: pool 0 is
@@ -136,36 +132,17 @@ impl CloudSim {
     /// sequence); pool `i > 0` draws from its own random stream and
     /// allocates ids in its own namespace
     /// ([`POOL_ID_STRIDE`](crate::POOL_ID_STRIDE)).
+    ///
+    /// `price` is the pool's spot-price process; `None` bills the SKU's
+    /// list price. The path is pre-drawn from the pool's own `"price"`
+    /// stream and installed into billing; a constant price is the
+    /// one-step path, which draws nothing and schedules no re-quote.
+    /// `faults` is the pool's fault-injection spec; `None` builds no plan
+    /// and draws nothing, while a spec pre-draws its unannounced-kill
+    /// schedule from the pool's own `"faults"` stream (see
+    /// [`crate::faults`]) and arms the notice-loss / grant-lapse /
+    /// degraded-link channels.
     pub fn for_pool(
-        cfg: CloudConfig,
-        trace: AvailabilityTrace,
-        seed: u64,
-        pool: crate::PoolId,
-    ) -> Self {
-        CloudSim::for_pool_priced(cfg, trace, seed, pool, None)
-    }
-
-    /// [`CloudSim::for_pool`] with a spot-price process. `None` and
-    /// [`PriceModel::Constant`] keep the constant-price machinery (no path,
-    /// no extra random draws, no extra events) — byte-identical to the
-    /// pre-dynamics provider; a dynamic model pre-draws its path from the
-    /// pool's own `"price"` stream and installs it into billing.
-    pub fn for_pool_priced(
-        cfg: CloudConfig,
-        trace: AvailabilityTrace,
-        seed: u64,
-        pool: crate::PoolId,
-        price: Option<&PriceModel>,
-    ) -> Self {
-        CloudSim::for_pool_faulted(cfg, trace, seed, pool, price, None)
-    }
-
-    /// [`CloudSim::for_pool_priced`] with a fault-injection spec. `None`
-    /// builds no plan and draws nothing — byte-identical to the pre-chaos
-    /// provider; a spec pre-draws its unannounced-kill schedule from the
-    /// pool's own `"faults"` stream (see [`crate::faults`]) and arms the
-    /// notice-loss / grant-lapse / degraded-link channels.
-    pub fn for_pool_faulted(
         cfg: CloudConfig,
         trace: AvailabilityTrace,
         seed: u64,
@@ -184,35 +161,31 @@ impl CloudSim {
         } else {
             SimRng::new(seed).stream(&format!("cloudsim/pool{}", pool.0))
         };
-        let (price_path, price_kill_probs, price_rng) = match price {
-            Some(model) if model.is_dynamic() => {
-                let label = if pool.0 == 0 {
-                    "price".to_string()
-                } else {
-                    format!("price/pool{}", pool.0)
-                };
-                let mut path_rng = SimRng::new(seed).stream(&label);
-                let path = model.path(cfg.instance_type.spot_price_per_hour, &mut path_rng);
-                let probs: Vec<f64> = path
-                    .iter()
-                    .map(|&(_, p)| model.kill_probability(p))
-                    .collect();
-                // Every mid-run step is an event: the re-quote surfaces as
-                // a `SpotPriceStep` so consumers can steer on it (and the
-                // step may additionally preempt when the model couples
-                // price to kills). The `t = 0` step is the initial quote,
-                // already visible before any event fires.
-                for (i, &(t, _)) in path.iter().enumerate() {
-                    if t > SimTime::ZERO {
-                        internal.schedule(t, Internal::PriceStep(i));
-                    }
-                }
-                meter.set_spot_path(path.clone());
-                let kill_rng = SimRng::new(seed).stream(&format!("{label}/kill"));
-                (path, probs, Some(kill_rng))
-            }
-            _ => (Vec::new(), Vec::new(), None),
+        let list = PriceModel::Constant(cfg.instance_type.spot_price_per_hour);
+        let model = price.unwrap_or(&list);
+        let label = if pool.0 == 0 {
+            "price".to_string()
+        } else {
+            format!("price/pool{}", pool.0)
         };
+        let mut path_rng = SimRng::new(seed).stream(&label);
+        let price_path = model.path(cfg.instance_type.spot_price_per_hour, &mut path_rng);
+        let price_kill_probs: Vec<f64> = price_path
+            .iter()
+            .map(|&(_, p)| model.kill_probability(p))
+            .collect();
+        // Every mid-run step is an event: the re-quote surfaces as a
+        // `SpotPriceStep` so consumers can steer on it (and the step may
+        // additionally preempt when the model couples price to kills).
+        // The `t = 0` step is the initial quote, already visible before
+        // any event fires.
+        for (i, &(t, _)) in price_path.iter().enumerate() {
+            if t > SimTime::ZERO {
+                internal.schedule(t, Internal::PriceStep(i));
+            }
+        }
+        meter.set_spot_path(price_path);
+        let price_rng = SimRng::new(seed).stream(&format!("{label}/kill"));
         let faults = faults.map(|spec| {
             let plan = FaultPlan::draw(spec, seed, pool);
             for (i, &t) in plan.kill_times().iter().enumerate() {
@@ -234,7 +207,6 @@ impl CloudSim {
             capacity,
             meter,
             started: false,
-            price_path,
             price_kill_probs,
             price_rng,
             pool,
@@ -247,8 +219,7 @@ impl CloudSim {
     /// lookup into the pre-drawn path: the answer never depends on how far
     /// event processing has advanced.
     pub fn spot_price_at(&self, t: SimTime) -> f64 {
-        crate::price::price_at(&self.price_path, t)
-            .unwrap_or(self.cfg.instance_type.spot_price_per_hour)
+        self.meter.spot_price_at(t)
     }
 
     /// The provider configuration.
@@ -444,7 +415,7 @@ impl CloudSim {
     /// pool's dedicated kill stream and only happen on steps with a
     /// nonzero coupling, so a coupling-free model draws nothing.
     fn apply_price_step(&mut self, t: SimTime, idx: usize) {
-        let price = self.price_path[idx].1;
+        let price = self.meter.spot_price_at(t);
         self.out.push_back((
             t,
             CloudEvent::SpotPriceStep {
@@ -456,10 +427,7 @@ impl CloudSim {
         if p <= 0.0 {
             return;
         }
-        let rng = self
-            .price_rng
-            .as_mut()
-            .expect("price events imply a price stream");
+        let rng = &mut self.price_rng;
         if !rng.chance(p) {
             return;
         }
@@ -820,12 +788,13 @@ mod tests {
         // `Constant` must not perturb a single draw, event, or cent.
         let run = |price: Option<&PriceModel>| {
             let trace = AvailabilityTrace::paper_bs();
-            let mut cloud = CloudSim::for_pool_priced(
+            let mut cloud = CloudSim::for_pool(
                 CloudConfig::default(),
                 trace,
                 99,
                 crate::PoolId(0),
                 price,
+                None,
             );
             cloud.request_spot(SimTime::ZERO, 10);
             let evs: Vec<String> = drain(&mut cloud)
@@ -847,12 +816,13 @@ mod tests {
             (SimTime::ZERO, 2.0),
             (SimTime::from_secs(1840), 6.0),
         ]));
-        let mut cloud = CloudSim::for_pool_priced(
+        let mut cloud = CloudSim::for_pool(
             CloudConfig::default(),
             AvailabilityTrace::constant(1),
             7,
             crate::PoolId(0),
             Some(&model),
+            None,
         );
         assert_eq!(cloud.spot_price_at(SimTime::ZERO), 2.0);
         assert_eq!(cloud.spot_price_at(SimTime::from_secs(2000)), 6.0);
@@ -875,12 +845,13 @@ mod tests {
             (SimTime::ZERO, 2.0),
             (SimTime::from_secs(600), 6.3),
         ]));
-        let mut cloud = CloudSim::for_pool_priced(
+        let mut cloud = CloudSim::for_pool(
             CloudConfig::default(),
             AvailabilityTrace::constant(2),
             5,
             crate::PoolId(3),
             Some(&model),
+            None,
         );
         let evs = drain(&mut cloud);
         assert_eq!(
@@ -911,12 +882,13 @@ mod tests {
             floor: 5.0, // floored far above the mean: permanent "spike"
             kill_coupling: 1e9,
         });
-        let mut cloud = CloudSim::for_pool_priced(
+        let mut cloud = CloudSim::for_pool(
             CloudConfig::default(),
             AvailabilityTrace::constant(4),
             7,
             crate::PoolId(0),
             Some(&model),
+            None,
         );
         cloud.request_spot(SimTime::ZERO, 2);
         let evs = drain(&mut cloud);
@@ -938,7 +910,7 @@ mod tests {
     }
 
     fn faulted(trace: AvailabilityTrace, spec: &FaultSpec, seed: u64) -> CloudSim {
-        CloudSim::for_pool_faulted(
+        CloudSim::for_pool(
             CloudConfig::default(),
             trace,
             seed,
@@ -950,22 +922,18 @@ mod tests {
 
     #[test]
     fn faults_off_is_bit_exact_with_no_plan() {
-        // Passing `None` faults must not perturb a single draw, event, or
-        // cent relative to the pre-chaos constructor.
-        let run = |chaos: bool| {
+        // An all-off spec must not perturb a single draw, event, or cent
+        // relative to no spec at all.
+        let run = |spec: Option<&FaultSpec>| {
             let trace = AvailabilityTrace::paper_bs();
-            let mut cloud = if chaos {
-                CloudSim::for_pool_faulted(
-                    CloudConfig::default(),
-                    trace,
-                    99,
-                    crate::PoolId(0),
-                    None,
-                    None,
-                )
-            } else {
-                CloudSim::new(CloudConfig::default(), trace, 99)
-            };
+            let mut cloud = CloudSim::for_pool(
+                CloudConfig::default(),
+                trace,
+                99,
+                crate::PoolId(0),
+                None,
+                spec,
+            );
             cloud.request_spot(SimTime::ZERO, 10);
             let evs: Vec<String> = drain(&mut cloud)
                 .iter()
@@ -976,7 +944,7 @@ mod tests {
                 cloud.meter().total_usd(SimTime::from_secs(1200)).to_bits(),
             )
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(None), run(Some(&FaultSpec::calm())));
     }
 
     #[test]
@@ -1109,12 +1077,13 @@ mod tests {
     fn priced_replay_is_deterministic() {
         let run = || {
             let model = PriceModel::Ou(crate::price::OuParams::around(1.9));
-            let mut cloud = CloudSim::for_pool_priced(
+            let mut cloud = CloudSim::for_pool(
                 CloudConfig::default(),
                 AvailabilityTrace::paper_as(),
                 11,
                 crate::PoolId(2),
                 Some(&model),
+                None,
             );
             cloud.request_spot(SimTime::ZERO, 8);
             let evs = drain(&mut cloud);

@@ -50,6 +50,6 @@ pub use report::{ConfigChange, CostReport, RunReport, SkuCost};
 pub use scale::{EpochRecord, ScaleReport, ShardedSystem};
 pub use system::{Scenario, ServingSystem};
 pub use telemetry::{
-    JsonlSink, NoopSink, Record, Recorder, StreamRecord, TelemetryEvent, TelemetrySink,
-    TelemetryStream, TimeSeries, TriageVerdict, WindowStats,
+    NoopSink, Record, Recorder, StreamRecord, TelemetryEvent, TelemetrySink, TelemetryStream,
+    TriageVerdict,
 };

@@ -141,6 +141,22 @@ struct SkuLane {
     frontier: RefCell<Option<CandidateFrontier>>,
 }
 
+/// The performance estimator of `model` served on `ty`: the SKU's
+/// hardware terms under the model-structure calibration scale, at sequence
+/// shape `(s_in, s_out)`. Every SKU the system prices — the base fleet and
+/// each heterogeneous lane — goes through here. On the T4 preset this is
+/// [`PerfModel::paper_defaults`] bitwise.
+pub(crate) fn sku_perf_model(
+    model: ModelSpec,
+    ty: &InstanceType,
+    s_in: u32,
+    s_out: u32,
+) -> PerfModel {
+    let scale = llmsim::calibration::calibration_scale(&model);
+    let cost = CostModel::for_instance_type(ty).with_scale(scale);
+    PerfModel::new(model, cost, s_in, s_out)
+}
+
 /// The paper's Algorithm 1, parameterized by model, memory model and
 /// hardware.
 ///
@@ -240,11 +256,8 @@ impl ConfigOptimizer {
     /// Panics past [`MAX_SKU_LANES`] registered lanes.
     pub fn with_sku(mut self, ty: InstanceType) -> Self {
         assert!(self.lanes.len() < MAX_SKU_LANES, "too many SKU lanes");
-        let model = self.perf.model().clone();
-        let scale = llmsim::calibration::calibration_scale(&model);
         let (s_in, s_out) = self.perf.sequence_shape();
-        let cost = CostModel::for_instance_type(&ty).with_scale(scale);
-        let perf = PerfModel::new(model, cost, s_in, s_out);
+        let perf = sku_perf_model(self.perf.model().clone(), &ty, s_in, s_out);
         self.lanes.push(SkuLane {
             ty,
             perf,

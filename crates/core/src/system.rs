@@ -347,8 +347,15 @@ impl ServingSystem {
         } else {
             llmsim::MemoryModel::default()
         };
+        // The base fleet is priced on its own SKU, exactly like a lane.
+        let perf = crate::optimizer::sku_perf_model(
+            scenario.model.clone(),
+            &scenario.cloud.instance_type,
+            llmsim::calibration::PAPER_S_IN,
+            llmsim::calibration::PAPER_S_OUT,
+        );
         let mut optimizer = ConfigOptimizer::new(
-            parallelism::PerfModel::paper_defaults(scenario.model.clone()),
+            perf,
             mem,
             scenario.cloud.instance_type.gpu,
             parallelism::ConfigSpace::default(),
@@ -390,11 +397,8 @@ impl ServingSystem {
             None
         };
         let mut cloud = if scenario.pools.is_empty() {
-            CloudMarket::single(
-                scenario.cloud.clone(),
-                scenario.trace.clone(),
-                scenario.seed,
-            )
+            let pool = PoolSpec::new("default", scenario.trace.clone());
+            CloudMarket::new(&scenario.cloud, &[pool], scenario.seed)
         } else {
             CloudMarket::new(&scenario.cloud, &scenario.pools, scenario.seed)
         };
@@ -629,10 +633,10 @@ impl ServingSystem {
 
     /// Runs the simulation to completion and reports.
     ///
-    /// Equivalent to [`start`](Self::start), advancing through every event
-    /// up to the drain cap, then [`finish`](Self::finish) — the sharded
-    /// runner drives the same three phases with barriers in between, so
-    /// single-shard runs execute this exact path.
+    /// Seeds the event horizon, advances through every event up to the
+    /// drain cap, then finalizes the report — the sharded runner drives
+    /// the same three phases with barriers in between, so single-shard
+    /// runs execute this exact path.
     pub fn run(mut self) -> RunReport {
         self.start();
         let hard_stop = self.hard_stop();
@@ -797,7 +801,7 @@ impl ServingSystem {
                     self.fleet_target
                 } else {
                     let cap = if self.opts.fleet_policy.is_reactive() {
-                        self.cloud.current_capacity()
+                        self.cloud.capacity_in(PoolId(0))
                     } else {
                         self.cloud.total_capacity()
                     };
@@ -823,7 +827,7 @@ impl ServingSystem {
                         .flat_map(|(i, &n)| self.cloud.prewarm_spot_in(PoolId(i as u32), n))
                         .collect()
                 } else {
-                    self.cloud.prewarm_spot(want)
+                    self.cloud.prewarm_spot_in(PoolId(0), want)
                 };
                 self.ready.extend(ids);
                 self.initial_fleet_target = want;
@@ -1496,8 +1500,7 @@ impl ServingSystem {
             // delivered shortfall (capacity sheds and chaos grant lapses).
             pool.lapsed_spot = self.cloud.lapsed_spot_in(pid);
             // The pool's capability/price card: price-blind policies
-            // ignore it; the cost-aware hedge rungs mask, bias and feed
-            // price pressure by it.
+            // ignore it; the cost-aware hedge rungs mask and bias by it.
             let ty = self.cloud.instance_type_in(pid);
             pool.caps = PoolCaps::of(ty);
             // Dynamically priced pools quote their *current* spot price,
@@ -1585,15 +1588,12 @@ impl ServingSystem {
             }
         }
         if cmd.ondemand > 0 {
-            match cmd.ondemand_pool {
-                // Cost-aware routing: the backstop lands in the named
-                // pool (and inherits its SKU). Price-blind policies leave
-                // this `None` — the legacy pool-0 path, byte-identical.
-                Some(p) => self
-                    .cloud
-                    .request_on_demand_in(self.now, PoolId(p), cmd.ondemand),
-                None => self.cloud.request_on_demand(self.now, cmd.ondemand),
-            }
+            // Cost-aware routing: the backstop lands in the named pool (and
+            // inherits its SKU). Price-blind policies leave this `None`,
+            // which routes to pool 0.
+            let pool = PoolId(cmd.ondemand_pool.unwrap_or(0));
+            self.cloud
+                .request_on_demand_in(self.now, pool, cmd.ondemand);
         }
         if cmd.release > 0 {
             // Idle instances only, on-demand first (the Algorithm 1
@@ -1618,7 +1618,7 @@ impl ServingSystem {
         if delta > 0 {
             let want = (delta as u32 + self.opts.spare_instances).saturating_sub(in_flight);
             if want > 0 {
-                self.cloud.request_spot(self.now, want);
+                self.cloud.request_spot_in(self.now, PoolId(0), want);
             }
             if self.opts.on_demand_mixing {
                 // Algorithm 1 line 8: allocate on-demand alongside spot so
@@ -1629,7 +1629,7 @@ impl ServingSystem {
                 let od_in_flight = self.initializing_on_demand();
                 let od = unfilled.saturating_sub(od_in_flight);
                 if od > 0 {
-                    self.cloud.request_on_demand(self.now, od);
+                    self.cloud.request_on_demand_in(self.now, PoolId(0), od);
                 }
             }
         } else if delta < 0 {
@@ -1638,7 +1638,7 @@ impl ServingSystem {
             if excess > 0 {
                 self.release_surplus(excess);
             }
-            self.cloud.cancel_pending_spot(surplus);
+            self.cloud.cancel_pending_spot_in(PoolId(0), surplus);
         }
     }
 
@@ -1655,7 +1655,7 @@ impl ServingSystem {
             self.usable().len() as u32 + self.initializing.len() as u32 + self.cloud.pending_spot();
         if have < self.initial_fleet_target {
             let want = self.initial_fleet_target - have;
-            self.cloud.request_spot(self.now, want);
+            self.cloud.request_spot_in(self.now, PoolId(0), want);
         }
         if self.opts.on_demand_mixing {
             // Cover only the serving shortfall with on-demand, never the
@@ -1666,7 +1666,7 @@ impl ServingSystem {
                 .saturating_sub(self.opts.spare_instances);
             let od = unfilled.saturating_sub(self.initializing_on_demand());
             if od > 0 {
-                self.cloud.request_on_demand(self.now, od);
+                self.cloud.request_on_demand_in(self.now, PoolId(0), od);
             }
         }
     }
@@ -2740,6 +2740,18 @@ mod tests {
         let report = ServingSystem::new(SystemOptions::on_demand_only(5), scenario).run();
         assert_eq!(report.preemptions, 0);
         assert_eq!(report.unfinished, 0);
+    }
+
+    #[test]
+    fn base_fleet_is_priced_on_its_own_sku() {
+        // An L4 base fleet must be priced with L4 speeds, as its memory
+        // feasibility already uses the L4 GPU — not the T4 calibration.
+        let mut scenario = small_scenario(AvailabilityTrace::constant(6), 1.0, 7);
+        scenario.cloud.instance_type = InstanceType::l4();
+        let scale = llmsim::calibration::calibration_scale(&scenario.model);
+        let sys = ServingSystem::new(SystemOptions::spotserve(), scenario);
+        let l4 = llmsim::CostModel::for_instance_type(&InstanceType::l4()).with_scale(scale);
+        assert_eq!(sys.optimizer.perf().cost_model(), &l4);
     }
 
     /// The tentpole's acceptance scenario in miniature: the A100 spot pool

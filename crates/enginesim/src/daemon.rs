@@ -11,7 +11,6 @@
 //! own committed count); the monolithic [`BatchRun`] form is kept for the
 //! fixed-batch baseline.
 
-use parallelism::ParallelConfig;
 use simkit::SimTime;
 use workload::RequestId;
 
@@ -147,41 +146,13 @@ impl ContextDaemon {
         }
         Vec::new()
     }
-
-    /// Re-registers the resident batch as resumed at `now` from its current
-    /// progress under a (possibly different) configuration — the mechanics
-    /// of stateful inference recovery. Returns the committed token count
-    /// carried over, or `None` if idle or the batch already finished.
-    pub fn rebase(
-        &mut self,
-        now: SimTime,
-        cfg: &ParallelConfig,
-        perf: &parallelism::PerfModel,
-    ) -> Option<u32> {
-        let batch = self.batch.take()?;
-        let committed = batch.committed_iters_at(now);
-        if committed >= batch.total_iters() {
-            // Finished: nothing to carry.
-            self.batch = Some(batch);
-            return None;
-        }
-        let reqs = batch.requests().to_vec();
-        let resumed = if committed == 0 {
-            BatchRun::start(reqs, cfg, now, perf)
-        } else {
-            BatchRun::resume(reqs, cfg, now, perf, committed)
-        };
-        self.batch = Some(resumed);
-        Some(committed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use llmsim::ModelSpec;
-    use parallelism::PerfModel;
-    use simkit::SimDuration;
+    use parallelism::{ParallelConfig, PerfModel};
     use workload::{Request, RequestId};
 
     fn setup() -> (ContextDaemon, BatchRun, PerfModel, ParallelConfig) {
@@ -214,38 +185,6 @@ mod tests {
         assert_eq!(daemon.batch(), Some(&run));
         assert_eq!(daemon.detach(), Some(run));
         assert_eq!(daemon.batch(), None);
-    }
-
-    #[test]
-    fn rebase_preserves_progress() {
-        let (mut daemon, run, perf, _) = setup();
-        let halfway = run.time_of_iter(64).unwrap() + SimDuration::from_micros(1);
-        daemon.attach(run);
-        // Resume under a different configuration (e.g. after migration).
-        let new_cfg = ParallelConfig::new(1, 2, 2, 8);
-        let carried = daemon.rebase(halfway, &new_cfg, &perf);
-        assert_eq!(carried, Some(64));
-        let b = daemon.batch().unwrap();
-        assert_eq!(b.resumed_from(), 64);
-        assert_eq!(b.committed_iters_at(halfway), 64);
-        assert!(b.finish_time() > halfway);
-    }
-
-    #[test]
-    fn rebase_before_any_token_restarts() {
-        let (mut daemon, run, perf, cfg) = setup();
-        daemon.attach(run);
-        let carried = daemon.rebase(SimTime::from_micros(10), &cfg, &perf);
-        assert_eq!(carried, Some(0));
-        assert_eq!(daemon.batch().unwrap().resumed_from(), 0);
-    }
-
-    #[test]
-    fn rebase_finished_batch_is_none() {
-        let (mut daemon, run, perf, cfg) = setup();
-        let end = run.finish_time();
-        daemon.attach(run);
-        assert_eq!(daemon.rebase(end, &cfg, &perf), None);
     }
 
     #[test]

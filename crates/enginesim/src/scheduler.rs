@@ -425,87 +425,19 @@ impl IterationScheduler {
         (self.chunk != u32::MAX).then_some(self.chunk)
     }
 
-    /// Rebuilds a scheduler from checkpointed records (stateful recovery
-    /// after migration): records with progress resume decoding from their
-    /// committed token, fresh ones re-run prefill. Starts the first
-    /// segment at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records` exceeds `cfg`'s batch capacity or contains a
-    /// finished record.
-    pub fn resume(
-        records: Vec<RequestRun>,
-        cfg: ParallelConfig,
-        kv_bytes_per_token: u64,
-        kv_budget_bytes: u64,
-        now: SimTime,
-        perf: &PerfModel,
-    ) -> Self {
-        IterationScheduler::new(cfg, kv_bytes_per_token, kv_budget_bytes)
-            .restore(records, now, perf)
-    }
-
     /// Installs checkpointed records into this (idle, freshly configured)
-    /// scheduler and starts the first segment — the chunk-aware form of
-    /// [`IterationScheduler::resume`]: build with
-    /// [`IterationScheduler::with_prefill_chunk`] first and half-prefilled
-    /// records continue their prefill chunk-exact.
+    /// scheduler and starts the first segment (stateful recovery after
+    /// migration): records with progress resume decoding from their
+    /// committed token, fresh ones re-run prefill, and — when built with
+    /// [`IterationScheduler::with_prefill_chunk`] — half-prefilled records
+    /// continue their prefill chunk-exact.
     ///
-    /// # Panics
-    ///
-    /// Panics as [`IterationScheduler::resume`] does, or if this scheduler
-    /// already has work in flight.
-    pub fn restore(mut self, records: Vec<RequestRun>, now: SimTime, perf: &PerfModel) -> Self {
-        assert!(
-            self.running.is_empty() && self.segment.is_none(),
-            "restore onto a busy scheduler"
-        );
-        assert!(
-            records.len() <= self.cfg.batch as usize,
-            "resume of {} records exceeds B={}",
-            records.len(),
-            self.cfg.batch
-        );
-        for r in &records {
-            assert!(!r.is_done(), "{} is already finished", r.request.id);
-        }
-        self.running = records;
-        self.rebuild_slo_entries();
-        if !self.running.is_empty() {
-            self.start_segment(now, perf);
-        }
-        self
-    }
-
-    /// Like [`IterationScheduler::resume`], but applies this scheduler's
-    /// own admission rule to an arbitrarily large checkpoint (§3.3
-    /// footnote 2 — the new configuration may hold fewer concurrent
-    /// requests): deepest-progress records are kept up to the batch
-    /// capacity and KV budget, the rest come back as bare requests for
-    /// recomputation via the queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records` contains a finished record.
-    pub fn resume_within_budget(
-        records: Vec<RequestRun>,
-        cfg: ParallelConfig,
-        kv_bytes_per_token: u64,
-        kv_budget_bytes: u64,
-        now: SimTime,
-        perf: &PerfModel,
-    ) -> (Self, Vec<Request>) {
-        IterationScheduler::new(cfg, kv_bytes_per_token, kv_budget_bytes)
-            .restore_within_budget(records, now, perf)
-    }
-
-    /// The chunk-aware form of [`IterationScheduler::resume_within_budget`]
-    /// (see [`IterationScheduler::restore`]). Deepest-progress records —
-    /// committed output tokens first, then cached prefill chunks — are
-    /// kept within the capacity and KV budget; the rest come back as bare
-    /// requests for recomputation. SLO admission is *not* re-applied: the
-    /// records were admitted before the migration.
+    /// The new configuration may hold fewer concurrent requests (§3.3
+    /// footnote 2): deepest-progress records — committed output tokens
+    /// first, then cached prefill chunks — are kept within the batch
+    /// capacity and KV budget, and the rest come back as bare requests
+    /// for recomputation via the queue. SLO admission is *not* re-applied:
+    /// the records were admitted before the migration.
     ///
     /// # Panics
     ///
@@ -1276,8 +1208,9 @@ mod tests {
         assert_eq!(records, vec![RequestRun::resumed(req(1, 512, 128), 42)]);
         // Resume under a different configuration: no prefill re-run.
         let new_cfg = ParallelConfig::new(1, 2, 2, 8);
-        let mut r =
-            IterationScheduler::resume(records, new_cfg, kvbpt(), u64::MAX, seg.boundary(10), &p);
+        let (mut r, dropped) = IterationScheduler::new(new_cfg, kvbpt(), u64::MAX)
+            .restore_within_budget(records, seg.boundary(10), &p);
+        assert!(dropped.is_empty(), "the new configuration holds the record");
         assert!(!r.running()[0].needs_prefill());
         let end = r.next_event().unwrap();
         let retired = r.advance(end, &mut VecDeque::new(), &p);
@@ -1495,9 +1428,10 @@ mod tests {
         // Resume under a new configuration: the prefill continues from
         // chunk 4, not from scratch.
         let new_cfg = ParallelConfig::new(1, 2, 2, 8);
-        let mut r = IterationScheduler::new(new_cfg, kvbpt(), u64::MAX)
+        let (mut r, dropped) = IterationScheduler::new(new_cfg, kvbpt(), u64::MAX)
             .with_prefill_chunk(Some(128))
-            .restore(records, mid, &p);
+            .restore_within_budget(records, mid, &p);
+        assert!(dropped.is_empty(), "the new configuration holds the record");
         let mut passes_to_first_token = 0;
         while r.running().first().map(|x| x.committed()) == Some(0) {
             let e = r.next_event().unwrap();

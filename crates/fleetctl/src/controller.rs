@@ -18,9 +18,6 @@ pub struct PoolCaps {
     pub sku: &'static str,
     /// Spot price, cents per instance-hour: the price currently quoted.
     pub spot_cents_per_hour: u32,
-    /// The SKU's list spot price, cents per instance-hour: the baseline
-    /// the price-pressure feed compares the first quoted price against.
-    pub list_spot_cents_per_hour: u32,
     /// On-demand price, cents per instance-hour.
     pub ondemand_cents_per_hour: u32,
     /// GPUs per instance of this SKU.
@@ -35,11 +32,9 @@ impl PoolCaps {
     /// The capability card of `ty`, assuming the model fits (the caller
     /// owns the memory model and clears [`PoolCaps::fits_model`] itself).
     pub fn of(ty: &InstanceType) -> Self {
-        let list_spot_cents = (ty.spot_price_per_hour * 100.0).round() as u32;
         PoolCaps {
             sku: ty.name,
-            spot_cents_per_hour: list_spot_cents,
-            list_spot_cents_per_hour: list_spot_cents,
+            spot_cents_per_hour: (ty.spot_price_per_hour * 100.0).round() as u32,
             ondemand_cents_per_hour: (ty.ondemand_price_per_hour * 100.0).round() as u32,
             gpus_per_instance: ty.gpus_per_instance,
             fits_model: true,
@@ -63,7 +58,6 @@ impl Default for PoolCaps {
         PoolCaps {
             sku: "",
             spot_cents_per_hour: 0,
-            list_spot_cents_per_hour: 0,
             ondemand_cents_per_hour: 0,
             gpus_per_instance: 4,
             fits_model: true,
@@ -223,10 +217,6 @@ pub struct FleetController {
     /// Exposure horizon the churn hedge covers: how long a replacement
     /// takes to arrive (the spot grant delay).
     grant_delay: SimDuration,
-    /// Last spot price (cents/hour) each pool was quoted at, for the
-    /// edge-triggered price-pressure feed of [`HedgeRung::CostPerToken`].
-    /// Empty until the first view is observed.
-    last_spot_cents: Vec<u32>,
 }
 
 impl FleetController {
@@ -240,7 +230,6 @@ impl FleetController {
             estimator: PreemptionEstimator::new(n_pools, window),
             tracker: RequestTracker::new(n_pools, grant_delay),
             grant_delay,
-            last_spot_cents: Vec::new(),
         }
     }
 
@@ -297,46 +286,6 @@ impl FleetController {
     /// lapse event). Call from a periodic tick.
     pub fn sweep_overdue(&mut self, now: SimTime) -> Vec<RetryDecision> {
         self.tracker.sweep_overdue(now)
-    }
-
-    /// Feeds spot-price spikes in `view` into the rate estimator as an
-    /// anticipatory kill signal ([`HedgeRung::CostPerToken`] only).
-    /// Edge-triggered: a pool contributes pressure only when its quoted
-    /// price *changes* to a level at or past parity, weighted by how far
-    /// past parity it landed (one kill's worth per threshold-to-2×-parity
-    /// span, clamped). On clouds where preemption probability correlates
-    /// with price, the spike predicts the kills, so the hedge widens
-    /// *before* the notices arrive.
-    fn observe_prices(&mut self, view: &FleetView, now: SimTime) {
-        if self.policy != FleetPolicy::cost_per_token() {
-            return;
-        }
-        if self.last_spot_cents.len() != view.pools.len() {
-            // First observation: baseline at the SKU list price, so a
-            // scenario that *starts* spiked still registers the spike.
-            self.last_spot_cents = view
-                .pools
-                .iter()
-                .map(|p| p.caps.list_spot_cents_per_hour)
-                .collect();
-        }
-        for (i, (pool, last)) in view.pools.iter().zip(&mut self.last_spot_cents).enumerate() {
-            let cents = pool.caps.spot_cents_per_hour;
-            if cents == *last {
-                continue;
-            }
-            *last = cents;
-            let od_cents = pool.caps.ondemand_cents_per_hour;
-            if od_cents == 0 {
-                continue;
-            }
-            let parity = f64::from(PARITY_PERMILLE) / 1000.0;
-            let ratio = f64::from(cents) / f64::from(od_cents);
-            if ratio >= parity {
-                let weight = ((ratio - parity) / parity.max(1e-9)).clamp(0.0, 1.0);
-                self.estimator.record_pressure(i, weight, now);
-            }
-        }
     }
 
     /// The hedge size for `target` over pools with capacities `caps`:
@@ -476,19 +425,17 @@ impl FleetController {
         cmd
     }
 
-    /// The serving system's steering call: feeds `view`'s spot prices to
-    /// the estimator (the [`HedgeRung::CostPerToken`] price-pressure
-    /// feed), then computes [`FleetController::command`] and records a
+    /// The serving system's steering call: computes
+    /// [`FleetController::command`] and records a
     /// [`TelemetryEvent::FleetCommand`] into `sink` when the command is
     /// not a noop. With [`telemetry::NoopSink`] the event is never even
     /// constructed.
     pub fn command_traced<S: TelemetrySink>(
-        &mut self,
+        &self,
         view: &FleetView,
         now: SimTime,
         sink: &mut S,
     ) -> FleetCommand {
-        self.observe_prices(view, now);
         let cmd = self.command(view, now);
         if S::ACTIVE && !cmd.is_noop() {
             sink.record(now, cmd.telemetry_event());
@@ -718,7 +665,6 @@ mod tests {
             caps: PoolCaps {
                 sku: "x",
                 spot_cents_per_hour: spot_cents,
-                list_spot_cents_per_hour: spot_cents,
                 ondemand_cents_per_hour: od_cents,
                 gpus_per_instance: 4,
                 fits_model: fits,
@@ -920,74 +866,10 @@ mod tests {
         assert!(cmd.spot.iter().sum::<u32>() >= 4, "{cmd:?}");
     }
 
-    /// A two-pool view whose spot quotes are `cents` against a $3.90/h
-    /// on-demand price (parity threshold: 351 cents).
-    fn quoted(cents: [u32; 2]) -> FleetView {
-        let mut pools = vec![priced_pool(8, 190, 390, true); 2];
-        for (p, c) in pools.iter_mut().zip(cents) {
-            p.caps.spot_cents_per_hour = c;
-        }
-        FleetView {
-            pools,
-            target: 4,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn price_pressure_widens_the_hedge_before_any_kill() {
-        let mut c = ctl(FleetPolicy::cost_per_token(), 2);
-        let caps = [8, 8];
-        let calm = c.hedge(4, &caps, SimTime::ZERO);
-        // Both pools re-quote past parity every second (each quote a
-        // change, so each one is an edge).
-        for k in 0..80u32 {
-            let cents = if k % 2 == 0 { 700 } else { 800 };
-            let view = quoted([cents, cents]);
-            c.command_traced(
-                &view,
-                SimTime::from_secs(u64::from(k)),
-                &mut telemetry::NoopSink,
-            );
-        }
-        let spiked = c.hedge(4, &caps, SimTime::from_secs(80));
-        assert!(
-            spiked > calm,
-            "pressure must widen the hedge: {spiked} vs {calm}"
-        );
-        assert!(spiked <= MAX_HEDGE, "MAX_HEDGE still caps it");
-    }
-
-    #[test]
-    fn price_pressure_is_edge_triggered_from_the_list_price() {
-        let t = SimTime::from_secs(5);
-        let rate = |c: &FleetController, pool| c.estimator().rate(pool, t);
-        let mut c = ctl(FleetPolicy::cost_per_token(), 2);
-        // First view: pool 0 quotes its list price (no edge), pool 1
-        // starts spiked — registered against the list-price baseline.
-        let view = quoted([190, 600]);
-        c.command_traced(&view, t, &mut telemetry::NoopSink);
-        assert_eq!(rate(&c, 0), 0.0, "an unchanged quote is not an edge");
-        let after_spike = rate(&c, 1);
-        assert!(after_spike > 0.0, "a scenario that starts spiked registers");
-        // The same quotes again: no new edge, no new pressure.
-        c.command_traced(&view, t, &mut telemetry::NoopSink);
-        assert_eq!(rate(&c, 1), after_spike);
-        // A change that stays below parity is an edge without pressure.
-        c.command_traced(&quoted([300, 600]), t, &mut telemetry::NoopSink);
-        assert_eq!(rate(&c, 0), 0.0);
-        // `command` alone never feeds, and lower rungs never do.
-        let mut aware = ctl(FleetPolicy::cost_aware_hedge(), 2);
-        aware.command_traced(&view, t, &mut telemetry::NoopSink);
-        c.command(&quoted([900, 900]), t);
-        assert_eq!(aware.estimator().rate(1, t), 0.0);
-        assert_eq!(rate(&c, 0), 0.0);
-    }
-
     #[test]
     fn command_traced_records_non_noop_commands_only() {
         use telemetry::Recorder;
-        let mut c = ctl(FleetPolicy::OnDemandFallback, 1);
+        let c = ctl(FleetPolicy::OnDemandFallback, 1);
         let mut rec = Recorder::enabled();
         // Satisfied fleet: noop, nothing recorded.
         let satisfied = FleetView {

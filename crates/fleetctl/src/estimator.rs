@@ -64,12 +64,10 @@ impl PreemptionEstimator {
         self.record_pressure(pool, 1.0, now);
     }
 
-    /// Records a fractional, *anticipatory* kill signal: `weight` kills'
-    /// worth of pressure in `pool` at `now`. Price-aware policies feed
-    /// spot-price spikes through this — on clouds where preemption
-    /// probability correlates with price, a spike predicts kills before
-    /// any notice arrives, and the hedge should widen ahead of them.
-    /// Pressure decays exactly like observed kills.
+    /// Records `weight` kills' worth of capacity pressure in `pool` at
+    /// `now`: the fleet controller feeds lapsed grants through this,
+    /// since a pool that cannot launch is under the pressure that
+    /// precedes kills. Pressure decays exactly like observed kills.
     ///
     /// # Panics
     ///

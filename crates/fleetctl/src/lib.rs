@@ -35,9 +35,7 @@
 //!     lands in the cheapest capable pool.
 //!   * [`HedgeRung::CostPerToken`] ([`FleetPolicy::cost_per_token`]) —
 //!     under *dynamic* spot prices: pools whose spot price reaches parity
-//!     with on-demand are masked, on-demand bridges the gap, and price
-//!     spikes feed the [`PreemptionEstimator`] as an anticipatory
-//!     (price-correlated) kill signal.
+//!     with on-demand are masked, and on-demand bridges the gap.
 //!
 //! The controller is pure decision logic over a [`FleetView`] snapshot —
 //! it holds no cloud handles — which keeps it deterministic, replayable,

@@ -55,9 +55,7 @@ pub enum HedgeRung {
     /// $ per token under *dynamic* spot prices: pools whose current spot
     /// price is at or past [`PARITY_PERMILLE`] of their on-demand price
     /// are masked too — preemptible capacity at on-demand parity buys
-    /// nothing but risk — and price spikes feed the preemption estimator
-    /// as an anticipatory kill signal, widening the hedge *before* the
-    /// price-correlated kills land.
+    /// nothing but risk.
     CostPerToken,
 }
 

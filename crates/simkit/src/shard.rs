@@ -1,120 +1,11 @@
-//! Sharded future-event lists and the deterministic fork/join helper the
-//! parallel simulation core is built on.
+//! The deterministic fork/join helper the parallel simulation core is
+//! built on.
 //!
-//! A [`ShardedEventQueue`] partitions one logical future-event list into
-//! per-shard [`EventQueue`]s. Each shard can be advanced independently (and
-//! therefore on its own worker thread) between synchronization barriers; the
-//! merged view pops events in `(SimTime, shard_id, seq)` order, so the merged
-//! stream is a pure function of what was scheduled — never of which thread
-//! got there first.
-//!
-//! [`run_shards`] is the matching execution helper: it applies one closure to
-//! every shard, either inline or across scoped worker threads. Shards are
-//! assigned to workers in fixed contiguous chunks and each worker walks its
-//! chunk in shard order, so any per-shard mutation is identical for every
-//! thread count — determinism comes from *partitioning*, not from locks.
-
-use crate::event::{EventKey, EventQueue};
-use crate::time::SimTime;
-
-/// A future-event list split into independently-advanceable shards.
-///
-/// Within a shard, events pop in `(time, seq)` FIFO order exactly like a
-/// plain [`EventQueue`]. Across shards, ties at the same timestamp are broken
-/// by shard id. Both tie-breaks are stable under re-execution, which is what
-/// keeps N-thread replays byte-identical to 1-thread replays.
-///
-/// # Example
-///
-/// ```
-/// use simkit::{ShardedEventQueue, SimTime};
-///
-/// let mut q: ShardedEventQueue<&'static str> = ShardedEventQueue::new(2);
-/// let t = SimTime::from_secs(5);
-/// q.schedule(1, t, "shard-1");
-/// q.schedule(0, t, "shard-0");
-/// // Same timestamp: the lower shard id wins, regardless of schedule order.
-/// assert_eq!(q.pop_next(), Some((0, t, "shard-0")));
-/// assert_eq!(q.pop_next(), Some((1, t, "shard-1")));
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardedEventQueue<E> {
-    shards: Vec<EventQueue<E>>,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// Creates a queue with `shards` empty shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "at least one shard required");
-        ShardedEventQueue {
-            shards: (0..shards).map(|_| EventQueue::new()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Mutable access to one shard's queue (for advancing it on a worker).
-    pub fn shard_mut(&mut self, shard: usize) -> &mut EventQueue<E> {
-        &mut self.shards[shard]
-    }
-
-    /// Disjoint mutable access to every shard at once, for fan-out.
-    pub fn shards_mut(&mut self) -> &mut [EventQueue<E>] {
-        &mut self.shards
-    }
-
-    /// Schedules `event` on `shard` at `time`.
-    pub fn schedule(&mut self, shard: usize, time: SimTime, event: E) -> EventKey {
-        self.shards[shard].schedule(time, event)
-    }
-
-    /// Cancels an event previously scheduled on `shard`.
-    pub fn cancel(&mut self, shard: usize, key: EventKey) -> bool {
-        self.shards[shard].cancel(key)
-    }
-
-    /// Earliest live timestamp across all shards.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.shards
-            .iter_mut()
-            .filter_map(EventQueue::peek_time)
-            .min()
-    }
-
-    /// Pops the globally next event in `(time, shard_id, seq)` order,
-    /// returning the shard it came from.
-    pub fn pop_next(&mut self) -> Option<(usize, SimTime, E)> {
-        let mut best: Option<(SimTime, usize)> = None;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            if let Some(t) = shard.peek_time() {
-                // Strict `<` keeps the earliest shard id on ties.
-                if best.map(|(bt, _)| t < bt).unwrap_or(true) {
-                    best = Some((t, i));
-                }
-            }
-        }
-        let (_, i) = best?;
-        let (t, ev) = self.shards[i].pop().expect("peeked shard is non-empty");
-        Some((i, t, ev))
-    }
-
-    /// Total number of live events across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(EventQueue::len).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(EventQueue::is_empty)
-    }
-}
+//! [`run_shards`] applies one closure to every shard, either inline or
+//! across scoped worker threads. Shards are assigned to workers in fixed
+//! contiguous chunks and each worker walks its chunk in shard order, so
+//! any per-shard mutation is identical for every thread count —
+//! determinism comes from *partitioning*, not from locks.
 
 /// Applies `f` to every shard, spreading shards across at most `threads`
 /// scoped worker threads.
@@ -156,43 +47,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn t(s: u64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn merges_by_time_then_shard_then_seq() {
-        let mut q = ShardedEventQueue::new(3);
-        q.schedule(2, t(1), "c1");
-        q.schedule(0, t(2), "a2");
-        q.schedule(1, t(1), "b1");
-        q.schedule(1, t(1), "b1-later");
-        q.schedule(0, t(1), "a1");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop_next().map(|(_, _, e)| e)).collect();
-        assert_eq!(order, vec!["a1", "b1", "b1-later", "c1", "a2"]);
-    }
-
-    #[test]
-    fn peek_time_is_global_minimum() {
-        let mut q = ShardedEventQueue::new(2);
-        assert_eq!(q.peek_time(), None);
-        q.schedule(1, t(9), ());
-        q.schedule(0, t(4), ());
-        assert_eq!(q.peek_time(), Some(t(4)));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn cancellation_is_per_shard() {
-        let mut q = ShardedEventQueue::new(2);
-        let k = q.schedule(0, t(1), "dead");
-        q.schedule(1, t(1), "live");
-        assert!(q.cancel(0, k));
-        assert_eq!(q.pop_next(), Some((1, t(1), "live")));
-        assert_eq!(q.pop_next(), None);
-        assert!(q.is_empty());
-    }
-
     #[test]
     fn run_shards_output_is_thread_count_invariant() {
         // Each shard deterministically accumulates from its own index; the
@@ -217,11 +71,5 @@ mod tests {
         });
         assert_eq!(visited.load(Ordering::Relaxed), 7);
         assert!(shards.iter().all(|&v| v == 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = ShardedEventQueue::<()>::new(0);
     }
 }

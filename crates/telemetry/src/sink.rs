@@ -1,18 +1,13 @@
-//! Pluggable event consumers: [`TelemetrySink`] and the provided sinks.
-
-use std::collections::VecDeque;
-use std::io;
+//! The [`TelemetrySink`] trait and its do-nothing [`NoopSink`].
 
 use simkit::SimTime;
 
 use crate::event::TelemetryEvent;
-use crate::record::Record;
-use crate::stream;
 
 /// Something that consumes telemetry events as they happen.
 ///
 /// The associated [`ACTIVE`](TelemetrySink::ACTIVE) constant is the
-/// zero-cost story: generic emit points route through [`emit`], which
+/// zero-cost story: a generic emit point guarded by `if S::ACTIVE`
 /// compiles to *nothing* — no branch, no event construction — when the
 /// sink type is [`NoopSink`].
 pub trait TelemetrySink {
@@ -22,24 +17,6 @@ pub trait TelemetrySink {
 
     /// Consumes one event.
     fn record(&mut self, time: SimTime, event: TelemetryEvent);
-}
-
-/// Emits into `sink`, constructing the event lazily; for a sink type
-/// with `ACTIVE = false` the whole call compiles away.
-///
-/// # Example
-///
-/// ```
-/// use simkit::SimTime;
-/// use telemetry::{emit, NoopSink, TelemetryEvent};
-/// let mut sink = NoopSink;
-/// emit(&mut sink, SimTime::ZERO, || unreachable!("never built"));
-/// ```
-#[inline(always)]
-pub fn emit<S: TelemetrySink>(sink: &mut S, time: SimTime, build: impl FnOnce() -> TelemetryEvent) {
-    if S::ACTIVE {
-        sink.record(time, build());
-    }
 }
 
 /// The do-nothing sink: `ACTIVE = false`, so instrumented hot paths
@@ -54,164 +31,23 @@ impl TelemetrySink for NoopSink {
     fn record(&mut self, _time: SimTime, _event: TelemetryEvent) {}
 }
 
-/// A bounded ring buffer keeping the most recent `capacity` events —
-/// the "flight recorder" shape an operator console tails.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    capacity: usize,
-    seq: u64,
-    buf: VecDeque<Record>,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            capacity,
-            seq: 0,
-            buf: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// The retained records, oldest first. `seq` numbers are global to
-    /// the sink's lifetime, so evictions are visible as gaps from 0.
-    pub fn records(&self) -> impl Iterator<Item = &Record> {
-        self.buf.iter()
-    }
-
-    /// Number of retained (not total) events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events ever recorded, including evicted ones.
-    pub fn total_recorded(&self) -> u64 {
-        self.seq
-    }
-}
-
-impl TelemetrySink for RingSink {
-    fn record(&mut self, time: SimTime, event: TelemetryEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        self.buf.push_back(Record { time, seq, event });
-    }
-}
-
-/// Streams events straight to a writer as JSONL, one record per line,
-/// after a version header line — the same wire format
-/// [`TelemetryStream::jsonl_into`](crate::TelemetryStream::jsonl_into)
-/// produces for shard 0.
-#[derive(Debug)]
-pub struct JsonlSink<W: io::Write> {
-    out: W,
-    seq: u64,
-    line: String,
-    /// First I/O error encountered, if any (recording never panics).
-    error: Option<io::Error>,
-}
-
-impl<W: io::Write> JsonlSink<W> {
-    /// Wraps `out`, writing the stream header immediately.
-    pub fn new(mut out: W) -> io::Result<Self> {
-        let mut line = String::with_capacity(128);
-        stream::jsonl_header_into(&mut line);
-        out.write_all(line.as_bytes())?;
-        Ok(JsonlSink {
-            out,
-            seq: 0,
-            line,
-            error: None,
-        })
-    }
-
-    /// Flushes and returns the writer; surfaces any deferred I/O error.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-impl<W: io::Write> TelemetrySink for JsonlSink<W> {
-    fn record(&mut self, time: SimTime, event: TelemetryEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        let rec = Record {
-            time,
-            seq: self.seq,
-            event,
-        };
-        stream::jsonl_record_into(&mut self.line, 0, &rec);
-        self.seq += 1;
-        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A generic emit point in the shape instrumented code uses.
+    fn emit_point<S: TelemetrySink>(sink: &mut S, built: &mut bool) {
+        if S::ACTIVE {
+            *built = true;
+            sink.record(SimTime::ZERO, TelemetryEvent::TransitionHalt { epoch: 0 });
+        }
+    }
+
     #[test]
     fn noop_sink_is_inactive_and_skips_construction() {
         const { assert!(!NoopSink::ACTIVE) };
-        let mut sink = NoopSink;
-        emit(&mut sink, SimTime::ZERO, || {
-            panic!("event built for an inactive sink")
-        });
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut ring = RingSink::new(2);
-        for epoch in 0..5 {
-            ring.record(
-                SimTime::from_secs(epoch as u64),
-                TelemetryEvent::TransitionHalt { epoch },
-            );
-        }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.total_recorded(), 5);
-        let seqs: Vec<u64> = ring.records().map(|r| r.seq).collect();
-        assert_eq!(seqs, [3, 4]);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_header_and_lines() {
-        let mut sink = JsonlSink::new(Vec::new()).unwrap();
-        sink.record(
-            SimTime::from_secs(1),
-            TelemetryEvent::InstanceGrant {
-                pool: 2,
-                instance: 7,
-                ondemand: false,
-            },
-        );
-        let bytes = sink.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let mut lines = text.lines();
-        assert!(lines.next().unwrap().contains("\"version\":"));
-        let rec = lines.next().unwrap();
-        assert!(rec.contains("\"ev\":\"grant\"") && rec.contains("\"pool\":2"));
-        assert_eq!(lines.next(), None);
+        let mut built = false;
+        emit_point(&mut NoopSink, &mut built);
+        assert!(!built, "event built for an inactive sink");
     }
 }

@@ -208,7 +208,7 @@ impl fmt::Write for Fnv1a {
 }
 
 /// Writes the JSONL stream header (line 1 of every export).
-pub(crate) fn jsonl_header_into(out: &mut impl fmt::Write) {
+fn jsonl_header_into(out: &mut impl fmt::Write) {
     writeln!(
         out,
         "{{\"stream\":\"spotserve.telemetry\",\"version\":{STREAM_VERSION}}}"
@@ -221,7 +221,7 @@ pub(crate) fn jsonl_header_into(out: &mut impl fmt::Write) {
 /// Key order is fixed; every value is an integer, a bool, or a static
 /// SKU name — nothing here formats a float, so the byte stream is
 /// exactly reproducible.
-pub(crate) fn jsonl_record_into(out: &mut String, shard: u32, r: &Record) {
+fn jsonl_record_into(out: &mut String, shard: u32, r: &Record) {
     write!(
         out,
         "{{\"t_us\":{},\"shard\":{},\"seq\":{},\"ev\":\"{}\"",

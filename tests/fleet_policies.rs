@@ -191,8 +191,7 @@ fn spot_hedge_survives_a_full_single_pool_outage() {
 }
 
 /// Golden digests of the squeeze below (seed 61): the price-blind hedge,
-/// and the $/token hedge whose parity mask and price-pressure feed both
-/// fire on this scenario.
+/// and the $/token hedge whose parity mask fires on this scenario.
 const SQUEEZE_HEDGE_DIGEST: u64 = 0xb382_c515_daed_1e3c;
 const SQUEEZE_COST_PER_TOKEN_DIGEST: u64 = 0xf978_1df0_f386_b0f4;
 

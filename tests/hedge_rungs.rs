@@ -85,7 +85,6 @@ fn pool() -> impl Strategy<Value = GenPool> {
                     caps: PoolCaps {
                         sku: "gen",
                         spot_cents_per_hour: spot,
-                        list_spot_cents_per_hour: spot,
                         ondemand_cents_per_hour: od,
                         gpus_per_instance: 4,
                         fits_model: fits != 0,
