@@ -677,3 +677,175 @@ fn sharded_chaos_is_thread_count_invariant() {
     let rerun = sharded_chaos_canonical(8, 4, 79);
     assert_eq!(many, rerun, "sharded chaos replays byte-identical");
 }
+
+/// A §6.1 paper-system run: OPT-6.7B at its paper rate (1.5 req/s) over
+/// the first 600 s of arrivals of `trace`, on the paper's single spot
+/// market under `ReactiveSpot` acquisition — the path every Figure 6 cell
+/// and every Figure 9 rung takes.
+fn replay_paper_system(opts: SystemOptions, trace: AvailabilityTrace, seed: u64) -> String {
+    let mut scenario = Scenario::paper_stable(ModelSpec::opt_6_7b(), trace, 1.5, seed);
+    scenario
+        .requests
+        .retain(|r| r.arrival < SimTime::from_secs(600));
+    canonical(&ServingSystem::new(opts, scenario).run())
+}
+
+/// The two §6.2 trace cells the paper-system pins cover: `A_S` with
+/// on-demand mixing (Algorithm 1's on-demand allocation and release
+/// paths) and spot-only `B_S` (deep dips, halts and cold restarts).
+fn paper_pin_traces() -> [(&'static str, AvailabilityTrace, bool); 2] {
+    [
+        ("AS+O", AvailabilityTrace::paper_as(), true),
+        ("BS", AvailabilityTrace::paper_bs(), false),
+    ]
+}
+
+/// Golden digests of `replay_paper_system(.., 1)` for each §6.1 system ×
+/// engine × trace cell, in `paper_pin_traces` order.
+const PAPER_SYSTEM_DIGESTS: [(&str, EngineMode, &str, u64); 12] = [
+    (
+        "SpotServe",
+        EngineMode::ContinuousBatching,
+        "AS+O",
+        0xe49b_fabc_b7e4_cac4,
+    ),
+    (
+        "SpotServe",
+        EngineMode::ContinuousBatching,
+        "BS",
+        0x5696_d7c5_b9df_3640,
+    ),
+    (
+        "SpotServe",
+        EngineMode::FixedBatch,
+        "AS+O",
+        0x12d4_c138_43b9_f508,
+    ),
+    (
+        "SpotServe",
+        EngineMode::FixedBatch,
+        "BS",
+        0x6e62_1e34_40a3_b2dc,
+    ),
+    (
+        "Reparallelization",
+        EngineMode::ContinuousBatching,
+        "AS+O",
+        0xb3c9_39b7_2cc5_0dd7,
+    ),
+    (
+        "Reparallelization",
+        EngineMode::ContinuousBatching,
+        "BS",
+        0xecce_2831_47c1_8fd4,
+    ),
+    (
+        "Reparallelization",
+        EngineMode::FixedBatch,
+        "AS+O",
+        0x2cb8_24c6_3250_5fcb,
+    ),
+    (
+        "Reparallelization",
+        EngineMode::FixedBatch,
+        "BS",
+        0x8a32_151d_e5b7_7f7e,
+    ),
+    (
+        "Rerouting",
+        EngineMode::ContinuousBatching,
+        "AS+O",
+        0xa5e6_488f_26c4_e58c,
+    ),
+    (
+        "Rerouting",
+        EngineMode::ContinuousBatching,
+        "BS",
+        0x15b9_ddfd_3e2f_f2f8,
+    ),
+    (
+        "Rerouting",
+        EngineMode::FixedBatch,
+        "AS+O",
+        0xf03c_41cf_cb97_0e2b,
+    ),
+    (
+        "Rerouting",
+        EngineMode::FixedBatch,
+        "BS",
+        0xfd7f_9bbf_4d70_e1ef,
+    ),
+];
+
+#[test]
+fn paper_systems_match_their_golden_digests() {
+    let systems = [
+        ("SpotServe", SystemOptions::spotserve()),
+        ("Reparallelization", SystemOptions::reparallelization()),
+        ("Rerouting", SystemOptions::rerouting()),
+    ];
+    let mut drifted = Vec::new();
+    let mut pins = PAPER_SYSTEM_DIGESTS.iter();
+    for (name, opts) in &systems {
+        for engine in [EngineMode::ContinuousBatching, EngineMode::FixedBatch] {
+            for (trace_name, trace, mixing) in paper_pin_traces() {
+                let mut opts = opts.clone().with_engine(engine);
+                if mixing {
+                    opts = opts.with_on_demand_mixing();
+                }
+                let got = digest(&replay_paper_system(opts, trace, 1));
+                let &(pin_name, pin_engine, pin_trace, want) = pins.next().expect("one pin a cell");
+                assert_eq!(
+                    (pin_name, pin_engine, pin_trace),
+                    (*name, engine, trace_name),
+                    "pin table order"
+                );
+                if got != want {
+                    drifted.push(format!(
+                        "{name} {engine:?} {trace_name}: {got:#018x} (pinned {want:#018x})"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "paper systems drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+/// Golden digest of `replay_paper_system(on_demand_only(8), B_S, 1)`.
+const ON_DEMAND_ONLY_DIGEST: u64 = 0x765f_6c61_5e76_97e7;
+
+#[test]
+fn on_demand_only_matches_its_golden_digest() {
+    let got = replay_paper_system(
+        SystemOptions::on_demand_only(8),
+        AvailabilityTrace::paper_bs(),
+        1,
+    );
+    assert_eq!(digest(&got), ON_DEMAND_ONLY_DIGEST, "OnDemandOnly drifted");
+}
+
+/// Golden digest of `replay_paper_system` for SpotServe with every
+/// Figure 9 component disabled, on `B_S` at seed 1.
+const FULLY_ABLATED_DIGEST: u64 = 0x3afb_9748_2732_515f;
+
+#[test]
+fn fully_ablated_spotserve_matches_its_golden_digest() {
+    use spotserve::AblationFlags;
+
+    let opts = SystemOptions::spotserve().with_ablation(AblationFlags {
+        no_controller: true,
+        no_migration_planner: true,
+        no_interruption_arranger: true,
+        no_device_mapper: true,
+    });
+    let got = replay_paper_system(opts, AvailabilityTrace::paper_bs(), 1);
+    assert_eq!(
+        digest(&got),
+        FULLY_ABLATED_DIGEST,
+        "fully ablated SpotServe drifted"
+    );
+}

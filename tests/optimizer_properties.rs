@@ -3,9 +3,10 @@
 
 use std::collections::VecDeque;
 
+use cloudsim::InstanceType;
 use enginesim::IterationScheduler;
-use llmsim::ModelSpec;
-use parallelism::{ParallelConfig, PerfModel};
+use llmsim::{CostModel, MemoryModel, ModelSpec};
+use parallelism::{ConfigSpace, ParallelConfig, PerfModel};
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
 use spotserve::{ConfigOptimizer, EngineMode};
@@ -149,6 +150,76 @@ proptest! {
             opt.perf().throughput_continuous(&c) >= opt.perf().throughput(&c),
             "{c}"
         );
+    }
+}
+
+/// An optimizer over `model` on `ty`'s hardware whose only SKU lane is
+/// that same base SKU — the shape a homogeneous serving fleet builds.
+fn base_lane_optimizer(model: ModelSpec, ty: InstanceType, engine: EngineMode) -> ConfigOptimizer {
+    let scale = llmsim::calibration::calibration_scale(&model);
+    let perf = PerfModel::new(
+        model,
+        CostModel::for_instance_type(&ty).with_scale(scale),
+        llmsim::calibration::PAPER_S_IN,
+        llmsim::calibration::PAPER_S_OUT,
+    );
+    ConfigOptimizer::new(
+        perf,
+        MemoryModel::default(),
+        ty.gpu,
+        ConfigSpace::default(),
+        ty.gpus_per_instance,
+        16,
+    )
+    .with_engine_mode(engine)
+    .with_sku(ty)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A lane registered for the optimizer's own base SKU prices every
+    /// feasible configuration **bit-identically** with the base
+    /// estimators, under either engine, both before the frontier exists
+    /// (cost-model path) and after (frontier-cache path). A homogeneous
+    /// fleet serves through lane 0, so its replays rest on this identity.
+    #[test]
+    fn base_sku_lane_prices_bit_identically_with_the_base_estimators(
+        alpha_millis in 0u32..3000,
+        model_sel in 0usize..8,
+        sku_sel in 0usize..4,
+        engine_sel in 0usize..2,
+    ) {
+        let models = ModelSpec::paper_models();
+        let model = models[model_sel % models.len()].clone();
+        let ty = [
+            InstanceType::g4dn_12xlarge(),
+            InstanceType::l4(),
+            InstanceType::a100(),
+            InstanceType::h100(),
+        ][sku_sel]
+            .clone();
+        let engine = [EngineMode::FixedBatch, EngineMode::ContinuousBatching][engine_sel];
+        let opt = base_lane_optimizer(model, ty, engine);
+        let alpha = alpha_millis as f64 / 1000.0;
+        let feasible = opt.feasible(16);
+        for built in [false, true] {
+            if built {
+                opt.decide(16, alpha);
+            }
+            for c in &feasible {
+                prop_assert_eq!(
+                    opt.lane_throughput(0, c).to_bits(),
+                    opt.estimated_throughput(c).to_bits(),
+                    "phi({c}), {engine:?}, frontier built: {built}"
+                );
+                prop_assert_eq!(
+                    opt.lane_latency(0, c, alpha),
+                    opt.estimated_latency(c, alpha),
+                    "l_req({c}, {alpha}), {engine:?}, frontier built: {built}"
+                );
+            }
+        }
     }
 }
 
