@@ -220,11 +220,6 @@ impl CloudMarket {
         self.pools.len()
     }
 
-    /// The human-readable name of `pool`.
-    pub fn pool_name(&self, pool: PoolId) -> &str {
-        &self.names[pool.0 as usize]
-    }
-
     /// Read-only view of one pool's provider.
     pub fn pool(&self, pool: PoolId) -> &CloudSim {
         &self.pools[pool.0 as usize]

@@ -85,11 +85,6 @@ impl ShardedSystem {
         self
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Runs every shard to completion in barrier-delimited epochs and
     /// merges the results in shard order.
     pub fn run(mut self) -> ScaleReport {
@@ -218,7 +213,6 @@ fn partition(scenario: Scenario, shards: usize) -> Vec<Scenario> {
             };
             Scenario {
                 model: scenario.model.clone(),
-                trace: scenario.trace.clone(),
                 pools,
                 requests,
                 cloud: scenario.cloud.clone(),

@@ -202,12 +202,6 @@ impl CostModel {
         CostModel::for_instance_type(&InstanceType::t4())
     }
 
-    /// Replaces the efficiency knobs.
-    pub fn with_efficiency(mut self, eff: Efficiency) -> Self {
-        self.eff = eff;
-        self
-    }
-
     /// Applies a multiplicative calibration factor to all latencies.
     ///
     /// # Panics

@@ -110,11 +110,6 @@ impl PositionContext {
         (self.shard, self.tensor)
     }
 
-    /// Whether this context contains any part of `layer`.
-    pub fn covers_layer(&self, layer: u32) -> bool {
-        self.layers.contains(&layer)
-    }
-
     /// Bytes of layer weights shared with `other`, with each full layer
     /// weighing `layer_bytes`.
     pub fn weight_overlap_bytes(&self, other: &PositionContext, layer_bytes: u64) -> u64 {
