@@ -411,7 +411,7 @@ mod tests {
     use simkit::SimDuration;
 
     /// A one-pool market, built the way the serving system builds a
-    /// scenario that names no pools.
+    /// single-trace scenario.
     fn single(trace: AvailabilityTrace, seed: u64) -> CloudMarket {
         CloudMarket::new(
             &CloudConfig::default(),
