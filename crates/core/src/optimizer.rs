@@ -190,8 +190,9 @@ pub struct ConfigOptimizer {
     frontier: RefCell<Option<CandidateFrontier>>,
     /// Per-`(N, α)` decision memo over the frontier.
     memo: RefCell<DecisionMemo>,
-    /// Registered SKU lanes for heterogeneous fleets (empty in single-SKU
-    /// operation, where no decision path reads them).
+    /// Registered SKU lanes. The serving system registers one per distinct
+    /// SKU in its fleet, a homogeneous fleet's base SKU included; the
+    /// single-SKU decision paths never read them.
     lanes: Vec<SkuLane>,
     /// Per-`(avail, α)` memo for [`ConfigOptimizer::decide_multi`].
     multi_memo: RefCell<Vec<(MultiKey, MultiSkuDecision)>>,

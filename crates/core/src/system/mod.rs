@@ -974,8 +974,6 @@ impl ServingSystem {
             return;
         }
         let worthwhile = match (self.current, next) {
-            // Batch-only changes are free: always take them (a mesh key
-            // only matches within one SKU's lane).
             (Some(cur), Some(new)) if cur.mesh_key() != new.mesh_key() || lane_change => {
                 let backlog = self.pending.len();
                 let cap = cur.concurrent_requests() as usize;
@@ -993,6 +991,9 @@ impl ServingSystem {
                 let big_win = backlog <= cap && new_l.as_secs_f64() < cur_l.as_secs_f64() * 0.7;
                 overloaded || big_win
             }
+            // Batch-only changes are free (a mesh key only matches within
+            // one SKU's lane), and halting or leaving a halt is never
+            // optional: always take them.
             _ => true,
         };
         if worthwhile {
