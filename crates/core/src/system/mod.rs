@@ -175,9 +175,8 @@ struct Transition {
 #[derive(Debug)]
 struct Lanes {
     /// Some pool leases a SKU other than the scenario's base type. Only
-    /// three steps differ on a mixed fleet: Algorithm 1 decides jointly
-    /// across lanes, the warm start sizes against per-lane capacity, and
-    /// the device mapper prices cross-SKU edges.
+    /// two steps differ on a mixed fleet: Algorithm 1 decides jointly
+    /// across lanes, and the warm start sizes against per-lane capacity.
     mixed: bool,
     /// Optimizer lane index of each pool.
     pool_lane: Vec<usize>,
@@ -670,14 +669,7 @@ impl ServingSystem {
         }
         // Adopt the initial configuration at zero cost (pre-loaded).
         let n = self.ready.len() as u32;
-        let hits_before = self.optimizer.memo_hits();
-        let decision = if self.lanes.mixed {
-            let d = self.optimizer.decide_multi(&self.lane_avail(), alpha);
-            self.apply_multi(d)
-        } else {
-            self.optimizer.decide(n, alpha)
-        };
-        self.note_decision(&decision, hits_before);
+        let decision = self.decide_serving(n, alpha);
         self.frozen_config = decision.now;
         if let Some(cfg) = self.pick_config(decision.now, n) {
             self.adopt_config(cfg, SimDuration::ZERO, 0, 0);

@@ -184,30 +184,28 @@ impl ServingSystem {
             cache_bytes_per_pipeline: cache_bytes.clone(),
             progress_per_pipeline: progress,
         };
-        // On a mixed fleet the mapper prices edges with each SKU's
-        // capability card: forbidden where the shard exceeds the target
-        // GPU's memory, discounted where the reuse crosses into a slower
-        // fabric. Homogeneous fleets pass no table — the plain matrix,
-        // without the per-edge SKU work.
+        // The mapper prices edges with each SKU's capability card:
+        // forbidden where the shard exceeds the target GPU's memory,
+        // discounted where the reuse crosses into a slower fabric. On a
+        // homogeneous fleet every card equals the source's, so every edge
+        // is plain reuse (the optimizer only picks shards that fit).
         let caps_of =
             |id: InstanceId| sku_caps(self.cloud.instance_type_in(PoolId::of_instance(id)));
-        let table = self.lanes.mixed.then(|| {
-            let src_lane = self
-                .assignment
-                .instances()
-                .first()
-                .map(|&id| self.lane_of_instance(id))
-                .unwrap_or(self.lanes.active);
-            SkuTable {
-                caps_of: &caps_of,
-                src: sku_caps(self.optimizer.lane_type(src_lane)),
-                required_bytes_per_gpu: self.optimizer.memory().required_bytes_per_gpu(
-                    &self.scenario.model,
-                    cfg.pipeline,
-                    cfg.tensor,
-                ),
-            }
-        });
+        let src_lane = self
+            .assignment
+            .instances()
+            .first()
+            .map(|&id| self.lane_of_instance(id))
+            .unwrap_or(self.lanes.active);
+        let table = SkuTable {
+            caps_of: &caps_of,
+            src: sku_caps(self.optimizer.lane_type(src_lane)),
+            required_bytes_per_gpu: self.optimizer.memory().required_bytes_per_gpu(
+                &self.scenario.model,
+                cfg.pipeline,
+                cfg.tensor,
+            ),
+        };
         let outcome = map_devices_with_skus(
             &self.scenario.model,
             &cfg,
@@ -215,7 +213,7 @@ impl ServingSystem {
             self.gpus_per_instance(),
             &old,
             !self.opts.ablation.no_device_mapper,
-            table.as_ref(),
+            Some(&table),
         );
         let planner_opts = PlannerOptions {
             memory_optimized: !self.opts.ablation.no_migration_planner,

@@ -25,7 +25,7 @@ use crate::config::ParallelConfig;
 /// let phi = perf.throughput(&c);
 /// assert!(phi > 0.35, "paper: this config sustains the 0.35 req/s workload");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfModel {
     model: ModelSpec,
     cost: CostModel,

@@ -202,6 +202,10 @@ proptest! {
         let engine = [EngineMode::FixedBatch, EngineMode::ContinuousBatching][engine_sel];
         let opt = base_lane_optimizer(model, ty, engine);
         let alpha = alpha_millis as f64 / 1000.0;
+        // The engines, the migration net and prefill pricing all read the
+        // lane's PerfModel itself, so the model must match, not only the
+        // two estimators below.
+        prop_assert_eq!(opt.lane_perf(0), opt.perf());
         let feasible = opt.feasible(16);
         for built in [false, true] {
             if built {
