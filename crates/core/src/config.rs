@@ -2,6 +2,7 @@
 //! components are enabled (the Figure 9 ablation axes).
 
 use fleetctl::FleetPolicy;
+pub use parallelism::EngineMode;
 use simkit::SimDuration;
 
 /// Which serving system handles preemptions (§6.1 baselines).
@@ -23,21 +24,6 @@ pub enum Policy {
         /// Fleet size in instances.
         instances: u32,
     },
-}
-
-/// Which execution engine the inference pipelines run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Iteration-level continuous batching (the default): requests are
-    /// admitted and retired at decode-iteration boundaries, within the
-    /// batch capacity and the engine's KV budget, and each iteration is
-    /// priced from the current mixed batch.
-    #[default]
-    ContinuousBatching,
-    /// Run-to-completion batching: a batch forms, decodes to its last
-    /// token, and only then does the next batch form. The paper's §3/§6.1
-    /// engine model, kept as the comparison baseline.
-    FixedBatch,
 }
 
 /// Individually disable SpotServe components (Figure 9).

@@ -11,30 +11,42 @@
 //! * report the instance delta so the instance manager can allocate
 //!   (on-demand and spot together, §3.2) or release (on-demand first).
 //!
+//! # Pricing lanes
+//!
+//! Every SKU is priced through one private lane: its `PerfModel`, GPU,
+//! GPUs per instance and a lazily built [`CandidateFrontier`]. The base
+//! fleet is a lane, and each SKU registered with
+//! [`ConfigOptimizer::with_sku`] gets its own lane unless it prices
+//! exactly like the base, in which case it shares the base lane. The
+//! single-SKU [`ConfigOptimizer::decide`] is the joint
+//! [`ConfigOptimizer::decide_multi`] over that one lane: both run the same
+//! scan, and differ only in how they report the instance delta.
+//!
 //! # Hot-path architecture
 //!
 //! The paper's bound is "re-decide within 1 second" (§3.2) — and with
 //! multi-pool markets every grant/preemption in every pool hits this code.
 //! The decision paths therefore run over a memoized
 //! [`CandidateFrontier`]: the space is enumerated and priced **once** per
-//! fleet ceiling, `feasible_at(n)` is a range lookup, Pareto-dominated
-//! candidates are skipped, and a small per-`(N, α)` decision memo answers
-//! repeated queries outright. Decisions are **bit-identical** with the
-//! fresh-enumeration reference implementations
-//! ([`ConfigOptimizer::decide_reference`] and friends), which are kept —
-//! unchanged from the pre-frontier code — as the contract the equivalence
-//! property test and the §6.2 pinned tests hold both paths to.
+//! lane and fleet ceiling, for the optimizer's own engine only;
+//! `feasible_at(n)` is a range lookup, Pareto-dominated candidates are
+//! skipped, one scan per lane prices each candidate's `l_req` once, and a
+//! small per-query decision memo answers repeated queries outright.
+//! Decisions are **bit-identical** with the fresh-enumeration reference
+//! implementations ([`ConfigOptimizer::decide_reference`] and friends),
+//! which are kept — unchanged from the pre-frontier code — as the contract
+//! the equivalence property test and the §6.2 pinned tests hold both paths
+//! to, and as the `control_plane` bench's baseline.
 
 use std::cell::{Cell, Ref, RefCell};
+use std::cmp::{Ordering, Reverse};
 
 use cloudsim::{GpuSpec, InstanceType};
 use llmsim::{CostModel, MemoryModel, ModelSpec};
 use parallelism::{
-    enumerate_configs, CandidateFrontier, ConfigSpace, ParallelConfig, PerfModel, PricingMode,
+    enumerate_configs, CandidateFrontier, ConfigSpace, EngineMode, ParallelConfig, PerfModel,
 };
 use simkit::SimDuration;
-
-use crate::config::EngineMode;
 
 /// The optimizer's verdict for one invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,57 +59,6 @@ pub struct OptimizerDecision {
     pub target: Option<ParallelConfig>,
     /// `#Instances(target) − N_t` (Algorithm 1, line 6).
     pub instance_delta: i64,
-}
-
-/// One memoized decision: the query key and its verdict.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum MemoKey {
-    /// `decide(n, α)` (α keyed by its IEEE-754 bits: the memo must never
-    /// conflate rates that price differently; keys carry the engine mode
-    /// that priced them, so flipping modes invalidates per-entry instead of
-    /// discarding the other mode's warm entries).
-    Fresh {
-        engine: EngineMode,
-        n: u32,
-        alpha_bits: u64,
-    },
-    /// `decide_slo(n, α, slo)`.
-    Slo {
-        engine: EngineMode,
-        n: u32,
-        alpha_bits: u64,
-        slo: SimDuration,
-    },
-}
-
-/// A small decision memo: repeated queries at the same `(N, α)` — the
-/// common case under event churn, where every pool transition re-asks the
-/// same question within one rate-tick window — return without touching the
-/// frontier. Bounded and cleared wholesale on overflow; entries are keyed
-/// by engine mode, so an engine-mode flip never evicts anything.
-#[derive(Debug, Clone, Default)]
-struct DecisionMemo {
-    entries: Vec<(MemoKey, OptimizerDecision)>,
-}
-
-/// Entries kept before the memo is cleared wholesale (decisions are pure,
-/// so eviction is only a space/speed trade-off, never a correctness one).
-const MEMO_CAP: usize = 64;
-
-impl DecisionMemo {
-    fn get(&self, key: MemoKey) -> Option<OptimizerDecision> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, d)| *d)
-    }
-
-    fn insert(&mut self, key: MemoKey, d: OptimizerDecision) {
-        if self.entries.len() >= MEMO_CAP {
-            self.entries.clear();
-        }
-        self.entries.push((key, d));
-    }
 }
 
 /// The joint verdict over a heterogeneous fleet: which SKU lane serves,
@@ -122,23 +83,80 @@ pub struct MultiSkuDecision {
 /// fixed `[u32; MAX_SKU_LANES]` so it stays `Copy`.
 pub const MAX_SKU_LANES: usize = 8;
 
-/// Memo key for [`ConfigOptimizer::decide_multi`].
+/// Key of a single-SKU decision. α is keyed by its IEEE-754 bits: the memo
+/// must never conflate rates that price differently.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MemoKey {
+    /// `decide(n, α)`.
+    Fresh { n: u32, alpha_bits: u64 },
+    /// `decide_slo(n, α, slo)`.
+    Slo {
+        n: u32,
+        alpha_bits: u64,
+        slo: SimDuration,
+    },
+}
+
+/// Key of a [`ConfigOptimizer::decide_multi`] decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct MultiKey {
-    engine: EngineMode,
     avail: [u32; MAX_SKU_LANES],
     alpha_bits: u64,
 }
 
-/// One instance type's decision lane: its own performance model (the
-/// per-model calibration scale on that SKU's hardware terms) and its own
-/// memoized frontier. Registered lanes are *additive* — the single-SKU
-/// decision paths never consult them.
+/// A small decision memo: repeated queries — the common case under event
+/// churn, where every pool transition re-asks the same question within
+/// one rate-tick window — return without touching a frontier. Bounded and
+/// cleared wholesale on overflow (decisions are pure, so eviction is only
+/// a space/speed trade-off, never a correctness one).
+#[derive(Debug, Clone)]
+struct Memo<K, V>(Vec<(K, V)>);
+
+/// Entries kept before a memo is cleared wholesale.
+const MEMO_CAP: usize = 64;
+
+impl<K: PartialEq, V: Copy> Memo<K, V> {
+    fn get(&self, key: &K) -> Option<V> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+
+    fn insert(&mut self, key: K, value: V) {
+        if self.0.len() >= MEMO_CAP {
+            self.0.clear();
+        }
+        self.0.push((key, value));
+    }
+}
+
+/// One SKU's pricing state: its performance model (the per-model
+/// calibration scale on that SKU's hardware terms), its hardware shape and
+/// its memoized frontier, built lazily at the fleet ceiling under the
+/// optimizer's engine (and grown if a query ever exceeds it).
+#[derive(Debug, Clone)]
+struct Lane {
+    perf: PerfModel,
+    gpu: GpuSpec,
+    gpus_per_instance: u8,
+    frontier: RefCell<Option<CandidateFrontier>>,
+}
+
+impl Lane {
+    fn new(perf: PerfModel, gpu: GpuSpec, gpus_per_instance: u8) -> Self {
+        Lane {
+            perf,
+            gpu,
+            gpus_per_instance,
+            frontier: RefCell::new(None),
+        }
+    }
+}
+
+/// A registered SKU: its instance type, and its own lane unless it prices
+/// exactly like the base fleet (`None` shares the base lane).
 #[derive(Debug, Clone)]
 struct SkuLane {
     ty: InstanceType,
-    perf: PerfModel,
-    frontier: RefCell<Option<CandidateFrontier>>,
+    own: Option<Lane>,
 }
 
 /// The performance estimator of `model` served on `ty`: the SKU's
@@ -157,6 +175,13 @@ pub(crate) fn sku_perf_model(
     PerfModel::new(model, cost, s_in, s_out)
 }
 
+/// A candidate's selection key within one lane: `(l_req, instances,
+/// canonical config)`.
+type LatencyKey = (SimDuration, u32, ParallelConfig);
+
+/// A `(lane index, config)` pick, if any.
+type LanePick = Option<(usize, ParallelConfig)>;
+
 /// The paper's Algorithm 1, parameterized by model, memory model and
 /// hardware.
 ///
@@ -173,11 +198,10 @@ pub(crate) fn sku_perf_model(
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConfigOptimizer {
-    perf: PerfModel,
+    /// The base fleet's lane.
+    base: Lane,
     mem: MemoryModel,
-    gpu: GpuSpec,
     space: ConfigSpace,
-    gpus_per_instance: u8,
     max_instances: u32,
     /// Which engine's `φ(C)`/`l_req(C)` estimator prices candidates: the
     /// paper's fixed-batch formulas, or the re-derived continuous-batching
@@ -185,20 +209,17 @@ pub struct ConfigOptimizer {
     /// [`EngineMode::FixedBatch`] so paper-exact figures stay bit-exact;
     /// the serving system passes its own engine mode in.
     engine: EngineMode,
-    /// The memoized candidate frontier, built lazily at the fleet ceiling
-    /// (and grown if a query ever exceeds it).
-    frontier: RefCell<Option<CandidateFrontier>>,
-    /// Per-`(N, α)` decision memo over the frontier.
-    memo: RefCell<DecisionMemo>,
-    /// Registered SKU lanes. The serving system registers one per distinct
-    /// SKU in its fleet, a homogeneous fleet's base SKU included; the
-    /// single-SKU decision paths never read them.
+    /// Registered SKU lanes, in registration order. The serving system
+    /// registers one per distinct SKU in its fleet, a homogeneous fleet's
+    /// base SKU included.
     lanes: Vec<SkuLane>,
-    /// Per-`(avail, α)` memo for [`ConfigOptimizer::decide_multi`].
-    multi_memo: RefCell<Vec<(MultiKey, MultiSkuDecision)>>,
-    /// Lifetime count of decisions answered from a memo (any of the three
-    /// memos). Telemetry instrumentation: callers difference it around a
-    /// `decide*` call to tag the decision memo-hit or miss.
+    /// Memo of the single-SKU decisions.
+    memo: RefCell<Memo<MemoKey, OptimizerDecision>>,
+    /// Memo of [`ConfigOptimizer::decide_multi`].
+    multi_memo: RefCell<Memo<MultiKey, MultiSkuDecision>>,
+    /// Lifetime count of decisions answered from a memo. Telemetry
+    /// instrumentation: callers difference it around a `decide*` call to
+    /// tag the decision memo-hit or miss.
     memo_hits: Cell<u64>,
 }
 
@@ -218,17 +239,14 @@ impl ConfigOptimizer {
     ) -> Self {
         assert!(gpus_per_instance > 0 && max_instances > 0);
         ConfigOptimizer {
-            perf,
+            base: Lane::new(perf, gpu, gpus_per_instance),
             mem,
-            gpu,
             space,
-            gpus_per_instance,
             max_instances,
             engine: EngineMode::FixedBatch,
-            frontier: RefCell::new(None),
-            memo: RefCell::new(DecisionMemo::default()),
             lanes: Vec::new(),
-            multi_memo: RefCell::new(Vec::new()),
+            memo: RefCell::new(Memo(Vec::new())),
+            multi_memo: RefCell::new(Memo(Vec::new())),
             memo_hits: Cell::new(0),
         }
     }
@@ -237,42 +255,41 @@ impl ConfigOptimizer {
     /// model the engine that actually serves (the continuous engine has no
     /// batch-fill delay and turns slots over faster, which shifts its
     /// latency-minimizing choices toward larger batch capacities).
-    /// Memo entries are keyed by engine mode, so flipping modes leaves the
-    /// other mode's warm entries intact (the frontier carries both engines'
-    /// pricing tables and survives too).
+    /// Frontiers are priced for one engine, so this drops every frontier
+    /// and memo entry.
     pub fn with_engine_mode(mut self, engine: EngineMode) -> Self {
         self.engine = engine;
+        let own = self.lanes.iter_mut().filter_map(|l| l.own.as_mut());
+        for lane in std::iter::once(&mut self.base).chain(own) {
+            *lane.frontier.get_mut() = None;
+        }
+        self.memo.get_mut().0.clear();
+        self.multi_memo.get_mut().0.clear();
         self
     }
 
     /// Registers a SKU lane for heterogeneous decisions: `ty`'s hardware
     /// terms under this optimizer's model-structure calibration scale and
     /// sequence shape. Lane indices are assignment order — the caller's
-    /// pool→SKU mapping must use the same order. Single-SKU decision paths
-    /// (`decide*`) never read lanes, so registering them cannot perturb a
-    /// homogeneous replay.
+    /// pool→SKU mapping must use the same order. A SKU that prices exactly
+    /// like the base fleet (equal `PerfModel`, GPU and GPUs per instance)
+    /// shares the base lane, frontier included.
     ///
     /// # Panics
     ///
     /// Panics past [`MAX_SKU_LANES`] registered lanes.
     pub fn with_sku(mut self, ty: InstanceType) -> Self {
         assert!(self.lanes.len() < MAX_SKU_LANES, "too many SKU lanes");
-        let (s_in, s_out) = self.perf.sequence_shape();
-        let perf = sku_perf_model(self.perf.model().clone(), &ty, s_in, s_out);
-        self.lanes.push(SkuLane {
-            ty,
-            perf,
-            frontier: RefCell::new(None),
-        });
-        self.multi_memo.get_mut().clear();
+        let base = &self.base;
+        let (s_in, s_out) = base.perf.sequence_shape();
+        let perf = sku_perf_model(base.perf.model().clone(), &ty, s_in, s_out);
+        let shares_base = perf == base.perf
+            && ty.gpu == base.gpu
+            && ty.gpus_per_instance == base.gpus_per_instance;
+        let own = (!shares_base).then(|| Lane::new(perf, ty.gpu, ty.gpus_per_instance));
+        self.lanes.push(SkuLane { ty, own });
+        self.multi_memo.get_mut().0.clear();
         self
-    }
-
-    /// Number of live single-SKU memo entries (test instrumentation for
-    /// the per-entry invalidation guarantee).
-    #[cfg(test)]
-    fn memo_len(&self) -> usize {
-        self.memo.borrow().entries.len()
     }
 
     /// Lifetime count of `decide*` queries answered from a memo instead of
@@ -292,28 +309,25 @@ impl ConfigOptimizer {
         &self.lanes[i].ty
     }
 
+    /// Lane `i`'s pricing state (the base lane when the SKU shares it).
+    fn lane(&self, i: usize) -> &Lane {
+        self.lanes[i].own.as_ref().unwrap_or(&self.base)
+    }
+
     /// Lane `i`'s performance model (that SKU's hardware under the shared
     /// calibration scale).
     pub fn lane_perf(&self, i: usize) -> &PerfModel {
-        &self.lanes[i].perf
+        &self.lane(i).perf
     }
 
     /// `φ(C)` on lane `i` under the selected engine's estimator.
     pub fn lane_throughput(&self, i: usize, c: &ParallelConfig) -> f64 {
-        let perf = &self.lanes[i].perf;
-        match self.engine {
-            EngineMode::FixedBatch => perf.throughput(c),
-            EngineMode::ContinuousBatching => perf.throughput_continuous(c),
-        }
+        self.throughput_on(self.lane(i), c)
     }
 
     /// `l_req(C, α)` on lane `i` under the selected engine's estimator.
     pub fn lane_latency(&self, i: usize, c: &ParallelConfig, alpha: f64) -> SimDuration {
-        let perf = &self.lanes[i].perf;
-        match self.engine {
-            EngineMode::FixedBatch => perf.request_latency(c, alpha),
-            EngineMode::ContinuousBatching => perf.request_latency_continuous(c, alpha),
-        }
+        self.latency_on(self.lane(i), c, alpha)
     }
 
     /// The engine mode whose estimator prices candidates.
@@ -321,46 +335,32 @@ impl ConfigOptimizer {
         self.engine
     }
 
-    fn pricing_mode(&self) -> PricingMode {
-        match self.engine {
-            EngineMode::FixedBatch => PricingMode::FixedBatch,
-            EngineMode::ContinuousBatching => PricingMode::ContinuousBatching,
-        }
-    }
-
     /// `φ(C)` under the selected engine's estimator (served from the
     /// frontier's cache when `c` is a priced candidate).
     pub fn estimated_throughput(&self, c: &ParallelConfig) -> f64 {
-        if let Some(phi) = self
-            .frontier
-            .borrow()
-            .as_ref()
-            .and_then(|f| f.lookup(c))
-            .map(|cand| cand.throughput(self.pricing_mode()))
-        {
-            return phi;
-        }
-        match self.engine {
-            EngineMode::FixedBatch => self.perf.throughput(c),
-            EngineMode::ContinuousBatching => self.perf.throughput_continuous(c),
-        }
+        self.throughput_on(&self.base, c)
     }
 
     /// `l_req(C, α)` under the selected engine's estimator (served from
     /// the frontier's cached components when `c` is a priced candidate).
-    pub fn estimated_latency(&self, c: &ParallelConfig, alpha: f64) -> simkit::SimDuration {
-        if let Some(l) = self
-            .frontier
-            .borrow()
-            .as_ref()
-            .and_then(|f| f.lookup(c))
-            .map(|cand| cand.latency(&self.perf, self.pricing_mode(), alpha))
-        {
-            return l;
+    pub fn estimated_latency(&self, c: &ParallelConfig, alpha: f64) -> SimDuration {
+        self.latency_on(&self.base, c, alpha)
+    }
+
+    /// `φ(C)` on `lane`: the frontier's cached value when `c` is a priced
+    /// candidate there, else straight from the cost model.
+    fn throughput_on(&self, lane: &Lane, c: &ParallelConfig) -> f64 {
+        match lane.frontier.borrow().as_ref().and_then(|f| f.lookup(c)) {
+            Some(cand) => cand.throughput(),
+            None => lane.perf.throughput_under(self.engine, c),
         }
-        match self.engine {
-            EngineMode::FixedBatch => self.perf.request_latency(c, alpha),
-            EngineMode::ContinuousBatching => self.perf.request_latency_continuous(c, alpha),
+    }
+
+    /// `l_req(C, α)` on `lane`, like [`Self::throughput_on`].
+    fn latency_on(&self, lane: &Lane, c: &ParallelConfig, alpha: f64) -> SimDuration {
+        match lane.frontier.borrow().as_ref().and_then(|f| f.lookup(c)) {
+            Some(cand) => cand.latency(&lane.perf, alpha),
+            None => lane.perf.latency_under(self.engine, c, alpha),
         }
     }
 
@@ -378,7 +378,7 @@ impl ConfigOptimizer {
 
     /// The performance model in use.
     pub fn perf(&self) -> &PerfModel {
-        &self.perf
+        &self.base.perf
     }
 
     /// The memory model in use.
@@ -386,55 +386,49 @@ impl ConfigOptimizer {
         &self.mem
     }
 
-    /// GPUs per instance.
-    pub fn gpus_per_instance(&self) -> u8 {
-        self.gpus_per_instance
-    }
-
     /// Enumerates feasible configurations for a fleet of `instances` —
     /// the reference enumeration (fresh, canonical order), which the
     /// frontier's range lookups are held bit-equal to.
     pub fn feasible(&self, instances: u32) -> Vec<ParallelConfig> {
         enumerate_configs(
-            self.perf.model(),
+            self.base.perf.model(),
             &self.mem,
-            &self.gpu,
+            &self.base.gpu,
             &self.space,
-            instances * self.gpus_per_instance as u32,
+            instances * self.base.gpus_per_instance as u32,
         )
     }
 
-    // ---- The memoized frontier --------------------------------------
-
-    /// Ensures the frontier exists and covers `ceiling` instances. Must
-    /// not be called while a [`ConfigOptimizer::frontier_ref`] borrow is
+    /// `lane`'s frontier, built (or grown) to cover `ceiling` instances.
+    /// Must not be called while a borrow of a frontier it would rebuild is
     /// live.
-    fn ensure_frontier(&self, ceiling: u32) {
-        let sufficient = self
+    fn frontier<'a>(&'a self, lane: &'a Lane, ceiling: u32) -> Ref<'a, CandidateFrontier> {
+        let covered = lane
             .frontier
             .borrow()
             .as_ref()
             .is_some_and(|f| f.ceiling() >= ceiling);
-        if sufficient {
-            return;
+        if !covered {
+            *lane.frontier.borrow_mut() = Some(CandidateFrontier::new(
+                &lane.perf,
+                self.engine,
+                &self.mem,
+                &lane.gpu,
+                &self.space,
+                lane.gpus_per_instance,
+                ceiling.max(self.max_instances),
+            ));
         }
-        let built = CandidateFrontier::new(
-            &self.perf,
-            &self.mem,
-            &self.gpu,
-            &self.space,
-            self.gpus_per_instance,
-            ceiling.max(self.max_instances),
-        );
-        *self.frontier.borrow_mut() = Some(built);
+        Ref::map(lane.frontier.borrow(), |f| f.as_ref().expect("built above"))
     }
 
-    /// The live frontier (must be [`ensure`](Self::ensure_frontier)d
-    /// first).
-    fn frontier_ref(&self) -> Ref<'_, CandidateFrontier> {
-        Ref::map(self.frontier.borrow(), |o| {
-            o.as_ref().expect("frontier ensured by caller")
-        })
+    /// A memoized decision for `key`, counted as a memo hit.
+    fn recall<K: PartialEq, V: Copy>(&self, memo: &RefCell<Memo<K, V>>, key: &K) -> Option<V> {
+        let hit = memo.borrow().get(key);
+        if hit.is_some() {
+            self.memo_hits.set(self.memo_hits.get() + 1);
+        }
+        hit
     }
 
     /// Runs Algorithm 1 for `n_instances` available instances (including
@@ -456,26 +450,27 @@ impl ConfigOptimizer {
     ) -> OptimizerDecision {
         let mut d = self.decide_fresh(n_instances, alpha);
         let Some(inc) = incumbent else { return d };
-        if inc.instances_needed(self.gpus_per_instance) > n_instances {
+        let gpi = self.base.gpus_per_instance;
+        if inc.instances_needed(gpi) > n_instances {
             return d;
         }
         // Direct membership test: the incumbent is feasible iff it is in
         // the enumerated space and fits the fleet — a binary search over
         // the frontier, not an O(|space|) re-enumeration. (A memo hit in
-        // `decide_fresh` returns before touching the frontier, so ensure
-        // it here.)
-        self.ensure_frontier(self.max_instances.max(n_instances));
+        // `decide_fresh` returns before touching the frontier, so build it
+        // here.)
+        let ceiling = self.max_instances.max(n_instances);
+        if !self
+            .frontier(&self.base, ceiling)
+            .contains(&inc, n_instances)
         {
-            let fr = self.frontier_ref();
-            if !fr.contains(&inc, n_instances) {
-                return d;
-            }
+            return d;
         }
         let keepable = |best: ParallelConfig| {
             let inc_l = self.estimated_latency(&inc, alpha);
             let best_l = self.estimated_latency(&best, alpha);
             self.estimated_throughput(&inc) >= alpha
-                && inc_l != simkit::SimDuration::MAX
+                && inc_l != SimDuration::MAX
                 && inc_l.as_secs_f64() <= best_l.as_secs_f64() * 1.15
         };
         if let Some(best) = d.now {
@@ -486,8 +481,7 @@ impl ConfigOptimizer {
         if let Some(best) = d.target {
             if best != inc && keepable(best) {
                 d.target = Some(inc);
-                d.instance_delta =
-                    inc.instances_needed(self.gpus_per_instance) as i64 - n_instances as i64;
+                d.instance_delta = inc.instances_needed(gpi) as i64 - n_instances as i64;
             }
         }
         d
@@ -497,42 +491,30 @@ impl ConfigOptimizer {
     /// a pre-defined SLO (`l_req(C) ≤ slo`) with the *cheapest* fleet.
     /// Falls back to plain latency minimization when no configuration can
     /// meet the SLO.
-    pub fn decide_slo(
-        &self,
-        n_instances: u32,
-        alpha: f64,
-        slo: simkit::SimDuration,
-    ) -> OptimizerDecision {
+    pub fn decide_slo(&self, n_instances: u32, alpha: f64, slo: SimDuration) -> OptimizerDecision {
         let key = MemoKey::Slo {
-            engine: self.engine,
             n: n_instances,
             alpha_bits: alpha.to_bits(),
             slo,
         };
-        if let Some(d) = self.memo.borrow().get(key) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
+        if let Some(d) = self.recall(&self.memo, &key) {
             return d;
         }
         let ceiling = self.max_instances.max(n_instances);
-        self.ensure_frontier(ceiling);
-        let mode = self.pricing_mode();
         // Cheapest-meeting selection key: (instances, l_req, canonical).
         let mut target_key: Option<(u32, SimDuration, ParallelConfig)> = None;
         let mut now_key: Option<(u32, SimDuration, ParallelConfig)> = None;
-        {
-            let fr = self.frontier_ref();
-            for cand in fr.pruned_at(ceiling, mode) {
-                let l = cand.latency(&self.perf, mode, alpha);
-                if l > slo {
-                    continue;
-                }
-                let key = (cand.instances, l, cand.config);
-                if target_key.is_none_or(|best| key < best) {
-                    target_key = Some(key);
-                }
-                if cand.instances <= n_instances && now_key.is_none_or(|best| key < best) {
-                    now_key = Some(key);
-                }
+        for cand in self.frontier(&self.base, ceiling).pruned_at(ceiling) {
+            let l = cand.latency(&self.base.perf, alpha);
+            if l > slo {
+                continue;
+            }
+            let key = (cand.instances, l, cand.config);
+            if target_key.is_none_or(|best| key < best) {
+                target_key = Some(key);
+            }
+            if cand.instances <= n_instances && now_key.is_none_or(|best| key < best) {
+                now_key = Some(key);
             }
         }
         let Some((needed, _, target)) = target_key else {
@@ -559,75 +541,12 @@ impl ConfigOptimizer {
         d
     }
 
-    // ---- Heterogeneous fleets: the joint (SKU, C, B) decision --------
-
-    /// Ensures lane `i`'s frontier exists and covers `ceiling` instances.
-    fn ensure_lane_frontier(&self, i: usize, ceiling: u32) {
-        let lane = &self.lanes[i];
-        let sufficient = lane
-            .frontier
-            .borrow()
-            .as_ref()
-            .is_some_and(|f| f.ceiling() >= ceiling);
-        if sufficient {
-            return;
-        }
-        let built = CandidateFrontier::new(
-            &lane.perf,
-            &self.mem,
-            &lane.ty.gpu,
-            &self.space,
-            lane.ty.gpus_per_instance,
-            ceiling.max(self.max_instances),
-        );
-        *lane.frontier.borrow_mut() = Some(built);
-    }
-
-    /// Lane `i`'s live frontier (must be ensured first).
-    fn lane_frontier_ref(&self, i: usize) -> Ref<'_, CandidateFrontier> {
-        Ref::map(self.lanes[i].frontier.borrow(), |o| {
-            o.as_ref().expect("lane frontier ensured by caller")
-        })
-    }
-
-    /// Joint maximum-throughput candidate across lanes within each lane's
-    /// current availability: maximize `φ`, break ties toward the lower
-    /// lane index, then canonical config order.
-    fn max_throughput_multi(
-        &self,
-        avail: &[u32],
-        mode: PricingMode,
-    ) -> Option<(usize, ParallelConfig)> {
-        let mut best: Option<(f64, std::cmp::Reverse<(usize, ParallelConfig)>)> = None;
-        for (i, &lane_avail) in avail.iter().enumerate().take(self.lanes.len()) {
-            if lane_avail == 0 {
-                continue;
-            }
-            self.ensure_lane_frontier(i, self.max_instances.max(lane_avail));
-            let fr = self.lane_frontier_ref(i);
-            for cand in fr.pruned_at(lane_avail, mode) {
-                let key = (cand.throughput(mode), std::cmp::Reverse((i, cand.config)));
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        key.partial_cmp(b).expect("throughput is finite")
-                            == std::cmp::Ordering::Greater
-                    }
-                };
-                if better {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, std::cmp::Reverse((i, c)))| (i, c))
-    }
-
     /// Algorithm 1 over a heterogeneous fleet: given per-lane instance
     /// availability `avail[i]` (same order as [`ConfigOptimizer::with_sku`]
     /// registration), pick the best `(SKU, C, B)` jointly.
     ///
-    /// The structure mirrors [`ConfigOptimizer::decide`] exactly, with the
-    /// lane index inserted into each tie-break:
+    /// The structure is [`ConfigOptimizer::decide`]'s, with the lane index
+    /// inserted into each tie-break:
     ///
     /// * if any lane has a sustaining configuration within its ceiling,
     ///   minimize `(l_req, instances, lane, config)` across *all* lanes —
@@ -638,7 +557,8 @@ impl ConfigOptimizer {
     ///
     /// `now` is what can materialize immediately and may sit on a
     /// *different* lane than `target` — the serving mesh stays single-SKU,
-    /// and the device mapper prices the cross-SKU migration.
+    /// and the device mapper prices the cross-SKU migration. When nothing
+    /// fits anywhere, the delta is 0 (where `decide` reports `−N`).
     ///
     /// # Panics
     ///
@@ -648,131 +568,101 @@ impl ConfigOptimizer {
         assert!(!self.lanes.is_empty(), "no SKU lanes registered");
         assert_eq!(avail.len(), self.lanes.len(), "one entry per lane");
         let mut key = MultiKey {
-            engine: self.engine,
             avail: [0; MAX_SKU_LANES],
             alpha_bits: alpha.to_bits(),
         };
         key.avail[..avail.len()].copy_from_slice(avail);
-        if let Some(d) = self
-            .multi_memo
-            .borrow()
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, d)| *d)
-        {
-            self.memo_hits.set(self.memo_hits.get() + 1);
+        if let Some(d) = self.recall(&self.multi_memo, &key) {
             return d;
         }
-        let mode = self.pricing_mode();
-        // Joint line 3: minimum-(l_req, instances, lane, config) sustaining
-        // candidate, at each lane's ceiling (target) and within each
-        // lane's availability (now).
-        let mut target: Option<(SimDuration, u32, usize, ParallelConfig)> = None;
-        let mut now_sustaining: Option<(SimDuration, u32, usize, ParallelConfig)> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let ceiling = self.max_instances.max(avail[i]);
-            self.ensure_lane_frontier(i, ceiling);
-            let fr = self.lane_frontier_ref(i);
-            for cand in fr.pruned_at(ceiling, mode) {
-                if cand.throughput(mode) < alpha {
-                    continue;
-                }
-                let k = (
-                    cand.latency(&lane.perf, mode, alpha),
-                    cand.instances,
-                    i,
-                    cand.config,
-                );
-                if target.is_none_or(|b| k < b) {
-                    target = Some(k);
-                }
-                if cand.instances <= avail[i] && now_sustaining.is_none_or(|b| k < b) {
-                    now_sustaining = Some(k);
-                }
-            }
-        }
-        let d = match target {
-            Some((_, needed, lane, config)) => {
-                let now = if needed <= avail[lane] {
-                    Some((lane, config))
-                } else {
-                    now_sustaining
-                        .map(|(_, _, i, c)| (i, c))
-                        .or_else(|| self.max_throughput_multi(avail, mode))
-                };
-                MultiSkuDecision {
-                    now,
-                    target: Some((lane, config)),
-                    instance_delta: needed as i64 - avail[lane] as i64,
-                }
-            }
-            None => {
-                // Joint line 5: nothing sustains anywhere — maximize
-                // throughput with the instances at hand.
-                let best = self.max_throughput_multi(avail, mode);
-                let delta = best
-                    .map(|(i, c)| {
-                        let gpi = self.lanes[i].ty.gpus_per_instance;
-                        c.instances_needed(gpi) as i64 - avail[i] as i64
-                    })
-                    .unwrap_or(0);
-                MultiSkuDecision {
-                    now: best,
-                    target: best,
-                    instance_delta: delta,
-                }
-            }
+        let lanes: Vec<(&Lane, u32)> = avail
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| (self.lane(i), a))
+            .collect();
+        let (now, target, needed) = self.joint(&lanes, alpha);
+        let d = MultiSkuDecision {
+            now,
+            target,
+            instance_delta: target.map_or(0, |(i, _)| needed as i64 - avail[i] as i64),
         };
-        let mut memo = self.multi_memo.borrow_mut();
-        if memo.len() >= MEMO_CAP {
-            memo.clear();
-        }
-        memo.push((key, d));
+        self.multi_memo.borrow_mut().insert(key, d);
         d
     }
 
-    /// Algorithm 1's core decision over the frontier, behind the memo.
+    /// Algorithm 1's core decision over the base lane, behind the memo.
     fn decide_fresh(&self, n_instances: u32, alpha: f64) -> OptimizerDecision {
         let key = MemoKey::Fresh {
-            engine: self.engine,
             n: n_instances,
             alpha_bits: alpha.to_bits(),
         };
-        if let Some(d) = self.memo.borrow().get(key) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
+        if let Some(d) = self.recall(&self.memo, &key) {
             return d;
         }
-        // Line 2: does any configuration within the ceiling sustain α?
-        let ceiling = self.max_instances.max(n_instances);
-        self.ensure_frontier(ceiling);
-        let mode = self.pricing_mode();
-        let fr = self.frontier_ref();
-
-        // Line 3: minimize l_req among sustaining configs at the ceiling
-        // — one pruned-range scan, no allocation.
-        let target = min_latency_sustaining(&fr, ceiling, mode, &self.perf, alpha)
-            // Line 5: maximize throughput within the current fleet.
-            .or_else(|| max_throughput(&fr, n_instances, mode));
-
-        // What can actually run right now, consistent with the target's
-        // shape preference.
-        let now = match target {
-            Some(t) if t.instances_needed(self.gpus_per_instance) <= n_instances => Some(t),
-            _ => min_latency_sustaining(&fr, n_instances, mode, &self.perf, alpha)
-                .or_else(|| max_throughput(&fr, n_instances, mode)),
-        };
-
-        let needed = target
-            .map(|t| t.instances_needed(self.gpus_per_instance))
-            .unwrap_or(0);
+        let (now, target, needed) = self.joint(&[(&self.base, n_instances)], alpha);
         let d = OptimizerDecision {
-            now,
-            target,
+            now: now.map(|(_, c)| c),
+            target: target.map(|(_, c)| c),
             instance_delta: needed as i64 - n_instances as i64,
         };
-        drop(fr);
         self.memo.borrow_mut().insert(key, d);
         d
+    }
+
+    /// Algorithm 1's lines 2–5 over `(lane, available instances)` pairs,
+    /// lane indices being positions in `lanes`. Returns `(now, target,
+    /// instances the target needs)`, the last 0 when there is no target.
+    ///
+    /// * Line 3: the target is the minimum-`(l_req, instances, lane,
+    ///   config)` candidate sustaining `alpha` within any lane's ceiling;
+    ///   `now` is the target when it fits its lane, else the minimum
+    ///   within each lane's availability.
+    /// * Line 5: when nothing sustains `alpha` (for `now`, within
+    ///   availability), the maximum-`(φ, Reverse((lane, config)))`
+    ///   candidate within availability — scanned only when needed.
+    fn joint(&self, lanes: &[(&Lane, u32)], alpha: f64) -> (LanePick, LanePick, u32) {
+        let ceiling = |avail: u32| self.max_instances.max(avail);
+        let mut target: Option<(SimDuration, u32, usize, ParallelConfig)> = None;
+        let mut now = None;
+        for (i, &(lane, avail)) in lanes.iter().enumerate() {
+            let fr = self.frontier(lane, ceiling(avail));
+            let (at_ceiling, within) =
+                sustaining_minima(&fr, ceiling(avail), avail, &lane.perf, alpha);
+            let with_lane = |(l, instances, c): LatencyKey| (l, instances, i, c);
+            target = target.into_iter().chain(at_ceiling.map(with_lane)).min();
+            now = now.into_iter().chain(within.map(with_lane)).min();
+        }
+        let fastest = || {
+            let mut best: Option<(f64, Reverse<(usize, ParallelConfig)>)> = None;
+            for (i, &(lane, avail)) in lanes.iter().enumerate() {
+                for cand in self.frontier(lane, ceiling(avail)).pruned_at(avail) {
+                    let key = (cand.throughput(), Reverse((i, cand.config)));
+                    let better = best.as_ref().is_none_or(|b| {
+                        key.partial_cmp(b).expect("throughput is finite") == Ordering::Greater
+                    });
+                    if better {
+                        best = Some(key);
+                    }
+                }
+            }
+            best.map(|(_, Reverse(pick))| pick)
+        };
+        match target {
+            Some((_, needed, lane, config)) => {
+                let now = if needed <= lanes[lane].1 {
+                    Some((lane, config))
+                } else {
+                    now.map(|(_, _, i, c)| (i, c)).or_else(fastest)
+                };
+                (now, Some((lane, config)), needed)
+            }
+            None => {
+                let best = fastest();
+                let needed =
+                    best.map_or(0, |(i, c)| c.instances_needed(lanes[i].0.gpus_per_instance));
+                (best, best, needed)
+            }
+        }
     }
 
     // ---- Reference implementations ----------------------------------
@@ -795,7 +685,7 @@ impl ConfigOptimizer {
             .into_iter()
             .map(|c| {
                 let l = self.estimated_latency_uncached(&c, alpha);
-                (l, c.instances_needed(self.gpus_per_instance), c)
+                (l, c.instances_needed(self.base.gpus_per_instance), c)
             })
             .min_by(|a, b| a.cmp(b))
             .map(|(_, _, c)| c)
@@ -803,19 +693,13 @@ impl ConfigOptimizer {
 
     /// `φ(C)` straight from the cost model (never the frontier cache).
     fn estimated_throughput_uncached(&self, c: &ParallelConfig) -> f64 {
-        match self.engine {
-            EngineMode::FixedBatch => self.perf.throughput(c),
-            EngineMode::ContinuousBatching => self.perf.throughput_continuous(c),
-        }
+        self.base.perf.throughput_under(self.engine, c)
     }
 
     /// `l_req(C, α)` straight from the cost model (never the frontier
     /// cache).
     fn estimated_latency_uncached(&self, c: &ParallelConfig, alpha: f64) -> SimDuration {
-        match self.engine {
-            EngineMode::FixedBatch => self.perf.request_latency(c, alpha),
-            EngineMode::ContinuousBatching => self.perf.request_latency_continuous(c, alpha),
-        }
+        self.base.perf.latency_under(self.engine, c, alpha)
     }
 
     /// The pre-frontier [`ConfigOptimizer::decide`]: fresh enumeration and
@@ -835,7 +719,7 @@ impl ConfigOptimizer {
     ) -> OptimizerDecision {
         let mut d = self.decide_fresh_reference(n_instances, alpha);
         let Some(inc) = incumbent else { return d };
-        if inc.instances_needed(self.gpus_per_instance) > n_instances {
+        if inc.instances_needed(self.base.gpus_per_instance) > n_instances {
             return d;
         }
         if !self.feasible(n_instances).contains(&inc) {
@@ -845,7 +729,7 @@ impl ConfigOptimizer {
             let inc_l = self.estimated_latency_uncached(&inc, alpha);
             let best_l = self.estimated_latency_uncached(&best, alpha);
             self.estimated_throughput_uncached(&inc) >= alpha
-                && inc_l != simkit::SimDuration::MAX
+                && inc_l != SimDuration::MAX
                 && inc_l.as_secs_f64() <= best_l.as_secs_f64() * 1.15
         };
         if let Some(best) = d.now {
@@ -857,7 +741,7 @@ impl ConfigOptimizer {
             if best != inc && keepable(best) {
                 d.target = Some(inc);
                 d.instance_delta =
-                    inc.instances_needed(self.gpus_per_instance) as i64 - n_instances as i64;
+                    inc.instances_needed(self.base.gpus_per_instance) as i64 - n_instances as i64;
             }
         }
         d
@@ -869,7 +753,7 @@ impl ConfigOptimizer {
         &self,
         n_instances: u32,
         alpha: f64,
-        slo: simkit::SimDuration,
+        slo: SimDuration,
     ) -> OptimizerDecision {
         let ceiling = self.max_instances.max(n_instances);
         let meeting: Vec<ParallelConfig> = self
@@ -886,7 +770,7 @@ impl ConfigOptimizer {
             .map(|c| {
                 // Cheapest first, then lowest latency, then canonical.
                 (
-                    c.instances_needed(self.gpus_per_instance),
+                    c.instances_needed(self.base.gpus_per_instance),
                     self.estimated_latency_uncached(&c, alpha),
                     c,
                 )
@@ -894,14 +778,14 @@ impl ConfigOptimizer {
             .min()
             .map(|(_, _, c)| c);
         let now = target
-            .filter(|t| t.instances_needed(self.gpus_per_instance) <= n_instances)
+            .filter(|t| t.instances_needed(self.base.gpus_per_instance) <= n_instances)
             .or_else(|| {
                 meeting
                     .into_iter()
-                    .filter(|c| c.instances_needed(self.gpus_per_instance) <= n_instances)
+                    .filter(|c| c.instances_needed(self.base.gpus_per_instance) <= n_instances)
                     .map(|c| {
                         (
-                            c.instances_needed(self.gpus_per_instance),
+                            c.instances_needed(self.base.gpus_per_instance),
                             self.estimated_latency_uncached(&c, alpha),
                             c,
                         )
@@ -911,7 +795,7 @@ impl ConfigOptimizer {
             })
             .or(self.decide_reference(n_instances, alpha).now);
         let needed = target
-            .map(|t| t.instances_needed(self.gpus_per_instance))
+            .map(|t| t.instances_needed(self.base.gpus_per_instance))
             .unwrap_or(0);
         OptimizerDecision {
             now,
@@ -937,16 +821,16 @@ impl ConfigOptimizer {
             // Line 5: maximize throughput within the current fleet.
             self.feasible(n_instances)
                 .into_iter()
-                .map(|c| (self.estimated_throughput_uncached(&c), std::cmp::Reverse(c)))
+                .map(|c| (self.estimated_throughput_uncached(&c), Reverse(c)))
                 .max_by(|a, b| a.partial_cmp(b).expect("throughput is finite"))
-                .map(|(_, std::cmp::Reverse(c))| c)
+                .map(|(_, Reverse(c))| c)
         };
 
         // What can actually run right now, consistent with the target's
         // shape preference.
         let now_candidates = self.feasible(n_instances);
         let now = match target {
-            Some(t) if t.instances_needed(self.gpus_per_instance) <= n_instances => Some(t),
+            Some(t) if t.instances_needed(self.base.gpus_per_instance) <= n_instances => Some(t),
             _ => {
                 let sustaining_now: Vec<ParallelConfig> = now_candidates
                     .iter()
@@ -957,9 +841,9 @@ impl ConfigOptimizer {
                     // Max throughput with what we have.
                     now_candidates
                         .into_iter()
-                        .map(|c| (self.estimated_throughput_uncached(&c), std::cmp::Reverse(c)))
+                        .map(|c| (self.estimated_throughput_uncached(&c), Reverse(c)))
                         .max_by(|a, b| a.partial_cmp(b).expect("finite"))
-                        .map(|(_, std::cmp::Reverse(c))| c)
+                        .map(|(_, Reverse(c))| c)
                 } else {
                     self.best_latency(sustaining_now, alpha)
                 }
@@ -967,7 +851,7 @@ impl ConfigOptimizer {
         };
 
         let needed = target
-            .map(|t| t.instances_needed(self.gpus_per_instance))
+            .map(|t| t.instances_needed(self.base.gpus_per_instance))
             .unwrap_or(0);
         OptimizerDecision {
             now,
@@ -977,49 +861,36 @@ impl ConfigOptimizer {
     }
 }
 
-/// Minimum-`(l_req, instances, canonical)` sustaining candidate within `n`
-/// instances, over the pruned frontier range — `None` when nothing
-/// sustains `alpha` there. Bit-identical to `best_latency` over the
+/// The minimum-`(l_req, instances, canonical)` candidates sustaining
+/// `alpha` within `ceiling` instances and within `n ≤ ceiling` instances,
+/// from one scan over the pruned range that prices each sustaining
+/// candidate's `l_req` once (the pruned range at `n` is a prefix of the
+/// one at the ceiling). Bit-identical to `best_latency` over the
 /// sustaining subset of a fresh enumeration: keys are unique (the config
 /// is part of the key), so the scan order cannot matter, and pruning only
 /// skips candidates that lose every key comparison.
-fn min_latency_sustaining(
+fn sustaining_minima(
     fr: &CandidateFrontier,
+    ceiling: u32,
     n: u32,
-    mode: PricingMode,
     perf: &PerfModel,
     alpha: f64,
-) -> Option<ParallelConfig> {
-    let mut best: Option<(SimDuration, u32, ParallelConfig)> = None;
-    for cand in fr.pruned_at(n, mode) {
-        if cand.throughput(mode) < alpha {
+) -> (Option<LatencyKey>, Option<LatencyKey>) {
+    let mut at_ceiling: Option<LatencyKey> = None;
+    let mut within: Option<LatencyKey> = None;
+    for cand in fr.pruned_at(ceiling) {
+        if cand.throughput() < alpha {
             continue;
         }
-        let key = (cand.latency(perf, mode, alpha), cand.instances, cand.config);
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
+        let key = (cand.latency(perf, alpha), cand.instances, cand.config);
+        if at_ceiling.is_none_or(|b| key < b) {
+            at_ceiling = Some(key);
+        }
+        if cand.instances <= n && within.is_none_or(|b| key < b) {
+            within = Some(key);
         }
     }
-    best.map(|(_, _, c)| c)
-}
-
-/// Maximum-`(φ, Reverse(canonical))` candidate within `n` instances, over
-/// the pruned frontier range.
-fn max_throughput(fr: &CandidateFrontier, n: u32, mode: PricingMode) -> Option<ParallelConfig> {
-    let mut best: Option<(f64, std::cmp::Reverse<ParallelConfig>)> = None;
-    for cand in fr.pruned_at(n, mode) {
-        let key = (cand.throughput(mode), std::cmp::Reverse(cand.config));
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                key.partial_cmp(b).expect("throughput is finite") == std::cmp::Ordering::Greater
-            }
-        };
-        if better {
-            best = Some(key);
-        }
-    }
-    best.map(|(_, std::cmp::Reverse(c))| c)
+    (at_ceiling, within)
 }
 
 #[cfg(test)]
@@ -1196,28 +1067,37 @@ mod tests {
         assert_eq!(d_cont, cont.decide_reference(12, 0.35));
     }
 
+    /// Number of live single-SKU memo entries.
+    fn memo_len(o: &ConfigOptimizer) -> usize {
+        o.memo.borrow().0.len()
+    }
+
     #[test]
-    fn engine_mode_flip_keeps_the_other_modes_warm_entries() {
+    fn engine_mode_flip_clears_the_memo_and_reprices() {
         let mut o = opt(ModelSpec::gpt_20b()); // FixedBatch by default
         let d_fixed = o.decide(12, 0.35);
-        assert_eq!(o.memo_len(), 1);
+        assert_eq!(memo_len(&o), 1);
+        assert!(o.base.frontier.borrow().is_some());
         o = o.with_engine_mode(EngineMode::ContinuousBatching);
-        let d_cont = o.decide(12, 0.35);
         assert_eq!(
-            o.memo_len(),
-            2,
-            "flip evicted nothing; new entry keyed by mode"
+            memo_len(&o),
+            0,
+            "the flip drops entries priced by the old engine"
         );
+        assert!(
+            o.base.frontier.borrow().is_none(),
+            "and the old engine's frontier"
+        );
+        let d_cont = o.decide(12, 0.35);
+        assert_eq!(d_cont, o.decide_reference(12, 0.35));
+        assert_ne!(d_cont, d_fixed);
         o = o.with_engine_mode(EngineMode::FixedBatch);
         assert_eq!(
             o.decide(12, 0.35),
             d_fixed,
-            "round-trip keeps the warm entry"
+            "round-trip reprices identically"
         );
-        assert_eq!(o.memo_len(), 2, "re-query was a memo hit, not a re-insert");
-        o = o.with_engine_mode(EngineMode::ContinuousBatching);
-        assert_eq!(o.decide(12, 0.35), d_cont);
-        assert_eq!(o.memo_len(), 2);
+        assert_eq!(memo_len(&o), 1);
     }
 
     // ---- Heterogeneous lanes -----------------------------------------

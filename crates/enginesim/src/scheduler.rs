@@ -667,11 +667,10 @@ impl IterationScheduler {
 
     /// [`IterationScheduler::slo_verdict`] against the incrementally
     /// maintained per-resident entries, pricing through the reused
-    /// scratch buffer — no allocation per verdict.
+    /// scratch buffer — no allocation per verdict. Callers take the
+    /// deadline-free fast path first: `r` or a resident carries a deadline.
     fn slo_verdict_inner(&self, r: &Request, now: SimTime, perf: &PerfModel) -> AdmissionVerdict {
-        if r.deadline.is_none() && !self.residents_carry_deadlines() {
-            return AdmissionVerdict::Admit;
-        }
+        debug_assert!(r.deadline.is_some() || self.residents_carry_deadlines());
         // Same contract as admission itself: the projection arithmetic
         // below assumes at least one output token.
         assert!(r.s_out > 0, "generation must produce tokens");

@@ -22,8 +22,6 @@
 //! configurations that fit), so single-SKU weight matrices — and therefore
 //! the plans KM derives from them — are bit-identical to the pre-SKU path.
 
-use crate::matrix::WeightMatrix;
-
 /// The matching formulation's `-INFINITY`: an edge weight so negative that
 /// no maximum-weight perfect matching includes it unless every alternative
 /// is also forbidden. Scaled well inside `i64` (not `i64::MIN`) so
@@ -101,36 +99,11 @@ pub fn edge_weight(
     reuse_bytes as i64 - transfer_penalty_bytes(move_bytes, src, dst)
 }
 
-/// Applies SKU capability pricing over a plain reuse-byte matrix: entry
-/// `(r, c)` becomes [`edge_weight`] of the reuse value under the row GPU's
-/// and column position's SKUs. `src_of(r)` names row `r`'s current SKU,
-/// `dst_of(c)` the SKU hosting column `c`, and `required_of(c)` the model
-/// bytes position `c` must hold. `move_of(r, c)` is the portion of the
-/// reuse that crosses the fabric.
-pub fn capability_priced_matrix(
-    reuse: &WeightMatrix,
-    src_of: impl Fn(usize) -> SkuCaps,
-    dst_of: impl Fn(usize) -> SkuCaps,
-    required_of: impl Fn(usize) -> u64,
-    move_of: impl Fn(usize, usize) -> u64,
-) -> WeightMatrix {
-    WeightMatrix::from_fn(reuse.rows(), reuse.cols(), |r, c| {
-        let w = reuse.get(r, c);
-        debug_assert!(w >= 0, "reuse bytes are non-negative");
-        edge_weight(
-            w as u64,
-            move_of(r, c),
-            required_of(c),
-            &src_of(r),
-            &dst_of(c),
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hungarian::max_weight_assignment;
+    use crate::matrix::WeightMatrix;
 
     const T4: SkuCaps = SkuCaps {
         memory_bytes: 16 << 30,
@@ -215,6 +188,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::hungarian::max_weight_assignment;
+    use crate::matrix::WeightMatrix;
     use proptest::prelude::*;
 
     fn arb_reuse_matrix(max_dim: usize) -> impl Strategy<Value = WeightMatrix> {
@@ -225,19 +199,18 @@ mod proptests {
     }
 
     proptest! {
-        /// Satellite 4's pin: pricing a single-SKU fleet through the
-        /// capability layer reproduces today's matrices verbatim — same
-        /// entries, and therefore the same KM plan.
+        /// Pricing a single-SKU fleet through [`edge_weight`] reproduces
+        /// the plain reuse matrix verbatim — same entries, and therefore
+        /// the same KM plan.
         #[test]
         fn single_sku_matrices_reproduce_legacy_plans(reuse in arb_reuse_matrix(7)) {
             let sku = SkuCaps { memory_bytes: 16 << 30, link_bandwidth: 6e9 };
-            let priced = capability_priced_matrix(
-                &reuse,
-                |_| sku,
-                |_| sku,
-                |_| 1 << 30, // fits: single-SKU configs are pre-filtered
-                |r, c| reuse.get(r, c) as u64,
-            );
+            // Every entry priced as moving all its reuse bytes onto a
+            // shard that fits (single-SKU configs are pre-filtered).
+            let priced = WeightMatrix::from_fn(reuse.rows(), reuse.cols(), |r, c| {
+                let w = reuse.get(r, c) as u64;
+                edge_weight(w, w, 1 << 30, &sku, &sku)
+            });
             for r in 0..reuse.rows() {
                 for c in 0..reuse.cols() {
                     prop_assert_eq!(priced.get(r, c), reuse.get(r, c));

@@ -12,7 +12,8 @@
 //!   instances is exactly the candidates with `instances_needed(n) ≤ n`, so
 //!   candidates are sorted by `(instances_needed, canonical order)` and
 //!   `feasible_at(n)` is a prefix range behind a cumulative index;
-//! * **price once** — `l_exe` (fixed-batch) and the per-occupancy
+//! * **price once**, for the one engine the optimizer serves with — `φ`
+//!   plus either `l_exe` (fixed-batch) or the per-occupancy
 //!   slot/steady-iteration tables (continuous) are computed per candidate
 //!   at build time; `l_req(C, α)` then runs the shared [`PerfModel`]
 //!   kernels over the cached components, bit-identical to fresh pricing;
@@ -38,90 +39,98 @@ use simkit::SimDuration;
 
 use crate::config::ParallelConfig;
 use crate::enumerate::{enumerate_configs, ConfigSpace};
-use crate::perf::PerfModel;
+use crate::perf::{EngineMode, PerfModel};
 
-/// Which engine's estimator prices candidates — the frontier caches both
-/// so an optimizer can switch engines without re-enumerating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PricingMode {
-    /// The paper's fixed-batch formulas (`φ`, Eq. 1 `l_req`).
-    FixedBatch,
-    /// The re-derived iteration-level estimator
-    /// ([`PerfModel::request_latency_continuous`]).
-    ContinuousBatching,
+/// The components one engine's `l_req` kernel reads.
+#[derive(Debug, Clone, PartialEq)]
+enum Pricing {
+    /// Cached `exec_latency` (the fixed-batch `l_exe`).
+    Fixed { l_exe: SimDuration },
+    /// `slot_time(C, b)` and `steady_iteration(C, b)` for `b = 1..=B`
+    /// (index `b − 1`).
+    Continuous {
+        slot_times: Box<[SimDuration]>,
+        steady_times: Box<[SimDuration]>,
+    },
 }
 
-/// One enumerated configuration with its precomputed pricing components.
+/// One enumerated configuration with its precomputed pricing components
+/// under the frontier's engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The configuration.
     pub config: ParallelConfig,
     /// `instances_needed` on the frontier's instance size.
     pub instances: u32,
-    /// Cached `exec_latency` (the fixed-batch `l_exe`).
-    l_exe: SimDuration,
-    /// Cached fixed-batch `φ(C)`.
-    phi_fixed: f64,
-    /// Cached continuous `φ(C)`.
-    phi_cont: f64,
-    /// `slot_time(C, b)` for `b = 1..=B` (index `b − 1`).
-    slot_times: Box<[SimDuration]>,
-    /// `steady_iteration(C, b)` for `b = 1..=B` (index `b − 1`).
-    steady_times: Box<[SimDuration]>,
+    /// Cached `φ(C)`.
+    phi: f64,
+    pricing: Pricing,
 }
 
 impl Candidate {
-    fn price(perf: &PerfModel, config: ParallelConfig, gpus_per_instance: u8) -> Self {
-        let l_exe = perf.exec_latency(&config);
-        let slot_times: Box<[SimDuration]> = (1..=config.batch)
-            .map(|b| perf.slot_time(&config, b))
-            .collect();
-        let steady_times: Box<[SimDuration]> = (1..=config.batch)
-            .map(|b| perf.steady_iteration(&config, b))
-            .collect();
+    fn price(
+        perf: &PerfModel,
+        engine: EngineMode,
+        config: ParallelConfig,
+        gpus_per_instance: u8,
+    ) -> Self {
+        let served = (config.data * config.batch) as f64;
         // Bitwise the same computations as `PerfModel::throughput` /
         // `throughput_continuous` over the cached components.
-        let phi_fixed = (config.data * config.batch) as f64 / l_exe.as_secs_f64();
-        let phi_cont = (config.data * config.batch) as f64
-            / slot_times[config.batch as usize - 1].as_secs_f64();
+        let (phi, pricing) = match engine {
+            EngineMode::FixedBatch => {
+                let l_exe = perf.exec_latency(&config);
+                (served / l_exe.as_secs_f64(), Pricing::Fixed { l_exe })
+            }
+            EngineMode::ContinuousBatching => {
+                let slot_times: Box<[SimDuration]> = (1..=config.batch)
+                    .map(|b| perf.slot_time(&config, b))
+                    .collect();
+                let steady_times = (1..=config.batch)
+                    .map(|b| perf.steady_iteration(&config, b))
+                    .collect();
+                let phi = served / slot_times[config.batch as usize - 1].as_secs_f64();
+                (
+                    phi,
+                    Pricing::Continuous {
+                        slot_times,
+                        steady_times,
+                    },
+                )
+            }
+        };
         Candidate {
             config,
             instances: config.instances_needed(gpus_per_instance),
-            l_exe,
-            phi_fixed,
-            phi_cont,
-            slot_times,
-            steady_times,
+            phi,
+            pricing,
         }
     }
 
-    /// Cached `φ(C)` under `mode` — bit-identical to
-    /// [`PerfModel::throughput`] / [`PerfModel::throughput_continuous`].
-    pub fn throughput(&self, mode: PricingMode) -> f64 {
-        match mode {
-            PricingMode::FixedBatch => self.phi_fixed,
-            PricingMode::ContinuousBatching => self.phi_cont,
-        }
+    /// Cached `φ(C)` — bit-identical to [`PerfModel::throughput_under`].
+    pub fn throughput(&self) -> f64 {
+        self.phi
     }
 
-    /// `l_req(C, α)` under `mode`, via the shared [`PerfModel`] kernels
-    /// over the cached components — bit-identical to fresh pricing.
-    pub fn latency(&self, perf: &PerfModel, mode: PricingMode, alpha: f64) -> SimDuration {
-        match mode {
-            PricingMode::FixedBatch => {
-                perf.request_latency_with_exec(&self.config, self.l_exe, alpha)
-            }
-            PricingMode::ContinuousBatching => perf.request_latency_continuous_with(
+    /// `l_req(C, α)` via the shared [`PerfModel`] kernels over the cached
+    /// components — bit-identical to [`PerfModel::latency_under`].
+    pub fn latency(&self, perf: &PerfModel, alpha: f64) -> SimDuration {
+        match &self.pricing {
+            Pricing::Fixed { l_exe } => perf.request_latency_with_exec(&self.config, *l_exe, alpha),
+            Pricing::Continuous {
+                slot_times,
+                steady_times,
+            } => perf.request_latency_continuous_with(
                 &self.config,
                 alpha,
-                |b| self.slot_times[b as usize - 1],
-                |b| self.steady_times[b as usize - 1],
+                |b| slot_times[b as usize - 1],
+                |b| steady_times[b as usize - 1],
             ),
         }
     }
 
-    /// Whether `self` dominates `x` under `mode`: no Algorithm 1 objective
-    /// — minimum-latency-among-sustaining, maximum-throughput, or
+    /// Whether `self` dominates `x`: no Algorithm 1 objective —
+    /// minimum-latency-among-sustaining, maximum-throughput, or
     /// cheapest-meeting-SLO — can ever select `x` while `self` is present,
     /// for *any* arrival rate, including every exact-tie case.
     ///
@@ -134,20 +143,26 @@ impl Candidate {
     /// * component-wise latency ordering that implies
     ///   `l_req(self, α) ≤ l_req(x, α)` for all `α` through the
     ///   estimator's monotone structure.
-    fn dominates(&self, x: &Candidate, mode: PricingMode) -> bool {
-        if self.instances != x.instances || self.config >= x.config {
+    fn dominates(&self, x: &Candidate) -> bool {
+        if self.instances != x.instances || self.config >= x.config || self.phi < x.phi {
             return false;
         }
-        match mode {
-            PricingMode::FixedBatch => {
+        match (&self.pricing, &x.pricing) {
+            (Pricing::Fixed { l_exe: a }, Pricing::Fixed { l_exe: b }) => {
                 // l_req = l_exe + (B−1)/2α + l_exe·ρ^√(2(D+1))/(2D(1−ρ)):
                 // monotone in l_exe, B, ρ = α/φ and anti-monotone in D.
-                self.phi_fixed >= x.phi_fixed
-                    && self.l_exe <= x.l_exe
-                    && self.config.batch <= x.config.batch
-                    && self.config.data >= x.config.data
+                a <= b && self.config.batch <= x.config.batch && self.config.data >= x.config.data
             }
-            PricingMode::ContinuousBatching => {
+            (
+                Pricing::Continuous {
+                    slot_times: slot_a,
+                    steady_times: steady_a,
+                },
+                Pricing::Continuous {
+                    slot_times: slot_b,
+                    steady_times: steady_b,
+                },
+            ) => {
                 // The occupancy fixed point iterates b ← clamp((α/D)·slot(b))
                 // from the same seed over the same clamp range (equal B):
                 // a pointwise-≤ slot table and D ≥ keep the iterate ≤ at
@@ -155,36 +170,30 @@ impl Candidate {
                 // queueing over slot(B)) is ≤.
                 self.config.batch == x.config.batch
                     && self.config.data >= x.config.data
-                    && self.phi_cont >= x.phi_cont
-                    && self
-                        .slot_times
-                        .iter()
-                        .zip(x.slot_times.iter())
-                        .all(|(a, b)| a <= b)
-                    && self
-                        .steady_times
-                        .iter()
-                        .zip(x.steady_times.iter())
-                        .all(|(a, b)| a <= b)
+                    && slot_a.iter().zip(slot_b.iter()).all(|(a, b)| a <= b)
+                    && steady_a.iter().zip(steady_b.iter()).all(|(a, b)| a <= b)
             }
+            _ => unreachable!("one frontier prices one engine"),
         }
     }
 }
 
 /// The enumerated, priced and pruned candidate set for one
-/// `(model, space, gpu, mem)` at a fleet ceiling. See the module docs.
+/// `(model, space, gpu, mem)` at a fleet ceiling, under one engine's
+/// estimator. See the module docs.
 ///
 /// # Example
 ///
 /// ```
 /// use cloudsim::GpuSpec;
 /// use llmsim::{MemoryModel, ModelSpec};
-/// use parallelism::{CandidateFrontier, ConfigSpace, PerfModel, PricingMode};
+/// use parallelism::{CandidateFrontier, ConfigSpace, EngineMode, PerfModel};
 ///
 /// let model = ModelSpec::gpt_20b();
 /// let perf = PerfModel::paper_defaults(model.clone());
 /// let f = CandidateFrontier::new(
 ///     &perf,
+///     EngineMode::FixedBatch,
 ///     &MemoryModel::default(),
 ///     &GpuSpec::t4(),
 ///     &ConfigSpace::default(),
@@ -195,8 +204,8 @@ impl Candidate {
 /// assert!(f.feasible_at(2).is_empty());
 /// assert!(!f.feasible_at(3).is_empty());
 /// // Every survivor of pruning is still priced exactly.
-/// let c = f.pruned_at(16, PricingMode::FixedBatch).next().unwrap();
-/// assert_eq!(c.throughput(PricingMode::FixedBatch), perf.throughput(&c.config));
+/// let c = f.pruned_at(16).next().unwrap();
+/// assert_eq!(c.throughput(), perf.throughput(&c.config));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CandidateFrontier {
@@ -208,24 +217,23 @@ pub struct CandidateFrontier {
     /// `cum[n]` = number of candidates needing at most `n` instances
     /// (`n = 0..=ceiling`), so `feasible_at(n)` is `candidates[..cum[n]]`.
     cum: Vec<u32>,
-    /// Indices (ascending) of candidates surviving fixed-batch pruning,
-    /// with its own cumulative per-instance index.
-    pruned_fixed: Vec<u32>,
-    pruned_fixed_cum: Vec<u32>,
-    /// Same for the continuous estimator.
-    pruned_cont: Vec<u32>,
-    pruned_cont_cum: Vec<u32>,
+    /// Indices (ascending) of candidates surviving pruning, with its own
+    /// cumulative per-instance index.
+    pruned: Vec<u32>,
+    pruned_cum: Vec<u32>,
 }
 
 impl CandidateFrontier {
-    /// Enumerates, prices and prunes the space for a fleet of up to
-    /// `ceiling_instances` instances of `gpus_per_instance` GPUs each.
+    /// Enumerates, prices (under `engine`'s estimator) and prunes the
+    /// space for a fleet of up to `ceiling_instances` instances of
+    /// `gpus_per_instance` GPUs each.
     ///
     /// # Panics
     ///
     /// Panics if `gpus_per_instance` or `ceiling_instances` is zero.
     pub fn new(
         perf: &PerfModel,
+        engine: EngineMode,
         mem: &MemoryModel,
         gpu: &GpuSpec,
         space: &ConfigSpace,
@@ -241,39 +249,26 @@ impl CandidateFrontier {
             ceiling_instances * gpus_per_instance as u32,
         )
         .into_iter()
-        .map(|c| Candidate::price(perf, c, gpus_per_instance))
+        .map(|c| Candidate::price(perf, engine, c, gpus_per_instance))
         .collect();
         // Stable sort: within one instance bucket the canonical
         // (enumeration) order is preserved.
         candidates.sort_by_key(|a| (a.instances, a.config));
         let cum = cumulative(candidates.iter().map(|c| c.instances), ceiling_instances);
-        let (pruned_fixed, pruned_fixed_cum) =
-            prune(&candidates, ceiling_instances, PricingMode::FixedBatch);
-        let (pruned_cont, pruned_cont_cum) = prune(
-            &candidates,
-            ceiling_instances,
-            PricingMode::ContinuousBatching,
-        );
+        let (pruned, pruned_cum) = prune(&candidates, ceiling_instances);
         CandidateFrontier {
             gpus_per_instance,
             ceiling: ceiling_instances,
             candidates,
             cum,
-            pruned_fixed,
-            pruned_fixed_cum,
-            pruned_cont,
-            pruned_cont_cum,
+            pruned,
+            pruned_cum,
         }
     }
 
     /// The fleet ceiling (instances) this frontier covers.
     pub fn ceiling(&self) -> u32 {
         self.ceiling
-    }
-
-    /// GPUs per instance the cumulative index was built for.
-    pub fn gpus_per_instance(&self) -> u8 {
-        self.gpus_per_instance
     }
 
     /// Total enumerated candidates.
@@ -286,12 +281,9 @@ impl CandidateFrontier {
         self.candidates.is_empty()
     }
 
-    /// Candidates surviving pruning under `mode`, at the ceiling.
-    pub fn pruned_len(&self, mode: PricingMode) -> usize {
-        match mode {
-            PricingMode::FixedBatch => self.pruned_fixed.len(),
-            PricingMode::ContinuousBatching => self.pruned_cont.len(),
-        }
+    /// Candidates surviving pruning, at the ceiling.
+    pub fn pruned_len(&self) -> usize {
+        self.pruned.len()
     }
 
     /// Every candidate feasible on a fleet of `n` instances — the range
@@ -303,17 +295,14 @@ impl CandidateFrontier {
     }
 
     /// The candidates feasible at `n` instances that survive Pareto
-    /// pruning under `mode` — the set the decision loops scan. Skipped
+    /// pruning — the set the decision loops scan, instance-sorted, so the
+    /// set at `n` is a prefix of the set at any larger fleet. Skipped
     /// candidates are exactly those that can never be selected (see
     /// [`Candidate`] `dominates`), so a scan over this iterator picks the
     /// same winner as a scan over [`CandidateFrontier::feasible_at`].
-    pub fn pruned_at(&self, n: u32, mode: PricingMode) -> impl Iterator<Item = &Candidate> + '_ {
+    pub fn pruned_at(&self, n: u32) -> impl Iterator<Item = &Candidate> + '_ {
         let n = n.min(self.ceiling) as usize;
-        let (idx, cum) = match mode {
-            PricingMode::FixedBatch => (&self.pruned_fixed, &self.pruned_fixed_cum),
-            PricingMode::ContinuousBatching => (&self.pruned_cont, &self.pruned_cont_cum),
-        };
-        idx[..cum[n] as usize]
+        self.pruned[..self.pruned_cum[n] as usize]
             .iter()
             .map(move |&i| &self.candidates[i as usize])
     }
@@ -355,7 +344,7 @@ fn cumulative(instances: impl Iterator<Item = u32>, ceiling: u32) -> Vec<u32> {
 /// Pareto pruning within equal-instance buckets: drop every candidate
 /// dominated by another of the same instance cost. Domination is
 /// transitive, so any dominated candidate has a *surviving* dominator.
-fn prune(candidates: &[Candidate], ceiling: u32, mode: PricingMode) -> (Vec<u32>, Vec<u32>) {
+fn prune(candidates: &[Candidate], ceiling: u32) -> (Vec<u32>, Vec<u32>) {
     let mut keep: Vec<u32> = Vec::new();
     let mut start = 0;
     while start < candidates.len() {
@@ -369,7 +358,7 @@ fn prune(candidates: &[Candidate], ceiling: u32, mode: PricingMode) -> (Vec<u32>
             let dominated = bucket
                 .iter()
                 .enumerate()
-                .any(|(j, y)| j != i && y.dominates(x, mode));
+                .any(|(j, y)| j != i && y.dominates(x));
             if !dominated {
                 keep.push((start + i) as u32);
             }
@@ -389,10 +378,17 @@ mod tests {
     use super::*;
     use llmsim::ModelSpec;
 
-    fn frontier(model: ModelSpec, ceiling: u32) -> (PerfModel, CandidateFrontier) {
+    const ENGINES: [EngineMode; 2] = [EngineMode::FixedBatch, EngineMode::ContinuousBatching];
+
+    fn frontier(
+        model: ModelSpec,
+        engine: EngineMode,
+        ceiling: u32,
+    ) -> (PerfModel, CandidateFrontier) {
         let perf = PerfModel::paper_defaults(model);
         let f = CandidateFrontier::new(
             &perf,
+            engine,
             &MemoryModel::default(),
             &GpuSpec::t4(),
             &ConfigSpace::default(),
@@ -404,7 +400,7 @@ mod tests {
 
     #[test]
     fn feasible_at_matches_fresh_enumeration_at_every_fleet_size() {
-        let (perf, f) = frontier(ModelSpec::gpt_20b(), 16);
+        let (perf, f) = frontier(ModelSpec::gpt_20b(), EngineMode::FixedBatch, 16);
         for n in 0..=16u32 {
             let mut from_frontier: Vec<ParallelConfig> =
                 f.feasible_at(n).iter().map(|c| c.config).collect();
@@ -422,25 +418,18 @@ mod tests {
 
     #[test]
     fn cached_pricing_is_bit_identical_with_fresh_pricing() {
-        let (perf, f) = frontier(ModelSpec::gpt_20b(), 12);
-        for cand in f.feasible_at(12) {
-            let c = &cand.config;
-            assert_eq!(cand.throughput(PricingMode::FixedBatch), perf.throughput(c));
-            assert_eq!(
-                cand.throughput(PricingMode::ContinuousBatching),
-                perf.throughput_continuous(c)
-            );
-            for alpha in [0.0, 0.1, 0.35, 1.0, 3.0] {
-                assert_eq!(
-                    cand.latency(&perf, PricingMode::FixedBatch, alpha),
-                    perf.request_latency(c, alpha),
-                    "{c} fixed @ {alpha}"
-                );
-                assert_eq!(
-                    cand.latency(&perf, PricingMode::ContinuousBatching, alpha),
-                    perf.request_latency_continuous(c, alpha),
-                    "{c} continuous @ {alpha}"
-                );
+        for engine in ENGINES {
+            let (perf, f) = frontier(ModelSpec::gpt_20b(), engine, 12);
+            for cand in f.feasible_at(12) {
+                let c = &cand.config;
+                assert_eq!(cand.throughput(), perf.throughput_under(engine, c));
+                for alpha in [0.0, 0.1, 0.35, 1.0, 3.0] {
+                    assert_eq!(
+                        cand.latency(&perf, alpha),
+                        perf.latency_under(engine, c, alpha),
+                        "{c} {engine:?} @ {alpha}"
+                    );
+                }
             }
         }
     }
@@ -451,30 +440,30 @@ mod tests {
         // over the pruned set equals the best over the full feasible set,
         // under both estimators — the domination contract, checked
         // exhaustively at a small ceiling.
-        let (perf, f) = frontier(ModelSpec::gpt_20b(), 10);
-        for mode in [PricingMode::FixedBatch, PricingMode::ContinuousBatching] {
+        for engine in ENGINES {
+            let (perf, f) = frontier(ModelSpec::gpt_20b(), engine, 10);
             for n in [3u32, 5, 8, 10] {
                 for alpha in [0.0, 0.05, 0.2, 0.35, 0.6, 1.5] {
                     let best_full = f
                         .feasible_at(n)
                         .iter()
-                        .map(|c| (c.latency(&perf, mode, alpha), c.instances, c.config))
+                        .map(|c| (c.latency(&perf, alpha), c.instances, c.config))
                         .min();
                     let best_pruned = f
-                        .pruned_at(n, mode)
-                        .map(|c| (c.latency(&perf, mode, alpha), c.instances, c.config))
+                        .pruned_at(n)
+                        .map(|c| (c.latency(&perf, alpha), c.instances, c.config))
                         .min();
-                    assert_eq!(best_full, best_pruned, "latency {mode:?} n={n} α={alpha}");
+                    assert_eq!(best_full, best_pruned, "latency {engine:?} n={n} α={alpha}");
                     let phi_full = f
                         .feasible_at(n)
                         .iter()
-                        .map(|c| (c.throughput(mode), std::cmp::Reverse(c.config)))
+                        .map(|c| (c.throughput(), std::cmp::Reverse(c.config)))
                         .max_by(|a, b| a.partial_cmp(b).expect("finite"));
                     let phi_pruned = f
-                        .pruned_at(n, mode)
-                        .map(|c| (c.throughput(mode), std::cmp::Reverse(c.config)))
+                        .pruned_at(n)
+                        .map(|c| (c.throughput(), std::cmp::Reverse(c.config)))
                         .max_by(|a, b| a.partial_cmp(b).expect("finite"));
-                    assert_eq!(phi_full, phi_pruned, "throughput {mode:?} n={n}");
+                    assert_eq!(phi_full, phi_pruned, "throughput {engine:?} n={n}");
                 }
             }
         }
@@ -482,18 +471,18 @@ mod tests {
 
     #[test]
     fn pruning_actually_removes_candidates() {
-        let (_, f) = frontier(ModelSpec::gpt_20b(), 16);
+        let (_, f) = frontier(ModelSpec::gpt_20b(), EngineMode::FixedBatch, 16);
         assert!(
-            f.pruned_len(PricingMode::FixedBatch) < f.len(),
+            f.pruned_len() < f.len(),
             "fixed-batch pruning must bite: {} of {}",
-            f.pruned_len(PricingMode::FixedBatch),
+            f.pruned_len(),
             f.len()
         );
     }
 
     #[test]
     fn contains_matches_linear_membership() {
-        let (_, f) = frontier(ModelSpec::opt_6_7b(), 8);
+        let (_, f) = frontier(ModelSpec::opt_6_7b(), EngineMode::FixedBatch, 8);
         for n in [0u32, 1, 3, 8] {
             let set: Vec<ParallelConfig> = f.feasible_at(n).iter().map(|c| c.config).collect();
             for cand in f.feasible_at(8) {
@@ -511,7 +500,7 @@ mod tests {
 
     #[test]
     fn lookup_finds_every_candidate() {
-        let (_, f) = frontier(ModelSpec::llama_30b(), 8);
+        let (_, f) = frontier(ModelSpec::llama_30b(), EngineMode::FixedBatch, 8);
         for cand in f.feasible_at(8) {
             assert_eq!(f.lookup(&cand.config).unwrap().config, cand.config);
         }

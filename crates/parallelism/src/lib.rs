@@ -32,7 +32,7 @@ pub mod perf;
 
 pub use config::ParallelConfig;
 pub use enumerate::{enumerate_configs, ConfigSpace};
-pub use frontier::{Candidate, CandidateFrontier, PricingMode};
+pub use frontier::{Candidate, CandidateFrontier};
 pub use mesh::MeshPosition;
 pub use partition::{shard_overlap, stage_layers, PositionContext};
-pub use perf::PerfModel;
+pub use perf::{EngineMode, PerfModel};

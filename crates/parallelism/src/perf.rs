@@ -11,6 +11,22 @@ use simkit::SimDuration;
 
 use crate::config::ParallelConfig;
 
+/// Which execution engine the inference pipelines run, and so which of the
+/// two estimators below prices a configuration for Algorithm 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EngineMode {
+    /// Iteration-level continuous batching (the default): requests are
+    /// admitted and retired at decode-iteration boundaries, within the
+    /// batch capacity and the engine's KV budget, and each iteration is
+    /// priced from the current mixed batch.
+    #[default]
+    ContinuousBatching,
+    /// Run-to-completion batching: a batch forms, decodes to its last
+    /// token, and only then does the next batch form. The paper's §3/§6.1
+    /// engine model, kept as the comparison baseline.
+    FixedBatch,
+}
+
 /// Latency/throughput estimator for one model on one cluster.
 ///
 /// # Example
@@ -121,7 +137,7 @@ impl PerfModel {
     /// saturated (`ρ ≥ 1`), matching the optimizer's "overloaded" treatment.
     ///
     /// This is the estimator Algorithm 1 uses under
-    /// `EngineMode::FixedBatch`, kept formula-exact so figure comparisons
+    /// [`EngineMode::FixedBatch`], kept formula-exact so figure comparisons
     /// against the paper stay bit-identical; the continuous engine prices
     /// candidates with [`PerfModel::request_latency_continuous`] instead.
     ///
@@ -167,6 +183,25 @@ impl PerfModel {
         let queue = l_exe.as_secs_f64() * rho.powf((2.0 * (servers + 1.0)).sqrt())
             / (2.0 * servers * (1.0 - rho));
         l_exe + SimDuration::from_secs_f64(fill + queue)
+    }
+
+    /// `φ(C)` under `engine`'s estimator: [`PerfModel::throughput`] or
+    /// [`PerfModel::throughput_continuous`].
+    pub fn throughput_under(&self, engine: EngineMode, c: &ParallelConfig) -> f64 {
+        match engine {
+            EngineMode::FixedBatch => self.throughput(c),
+            EngineMode::ContinuousBatching => self.throughput_continuous(c),
+        }
+    }
+
+    /// `l_req(C, α)` under `engine`'s estimator:
+    /// [`PerfModel::request_latency`] or
+    /// [`PerfModel::request_latency_continuous`].
+    pub fn latency_under(&self, engine: EngineMode, c: &ParallelConfig, alpha: f64) -> SimDuration {
+        match engine {
+            EngineMode::FixedBatch => self.request_latency(c, alpha),
+            EngineMode::ContinuousBatching => self.request_latency_continuous(c, alpha),
+        }
     }
 
     // ---- Continuous-batching (iteration-level) estimator --------------

@@ -1,15 +1,16 @@
 //! Property tests for Algorithm 1's invariants over the whole input space,
 //! and for the scheduler's SLO-aware admission guard.
 
+use std::cmp::{Ordering, Reverse};
 use std::collections::VecDeque;
 
 use cloudsim::InstanceType;
 use enginesim::IterationScheduler;
 use llmsim::{CostModel, MemoryModel, ModelSpec};
-use parallelism::{ConfigSpace, ParallelConfig, PerfModel};
+use parallelism::{enumerate_configs, ConfigSpace, ParallelConfig, PerfModel};
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
-use spotserve::{ConfigOptimizer, EngineMode};
+use spotserve::{ConfigOptimizer, EngineMode, MultiSkuDecision};
 use workload::{Request, RequestId};
 
 proptest! {
@@ -204,8 +205,10 @@ proptest! {
         let alpha = alpha_millis as f64 / 1000.0;
         // The engines, the migration net and prefill pricing all read the
         // lane's PerfModel itself, so the model must match, not only the
-        // two estimators below.
+        // two estimators below — and a SKU pricing like the base shares
+        // the base lane outright.
         prop_assert_eq!(opt.lane_perf(0), opt.perf());
+        prop_assert!(std::ptr::eq(opt.lane_perf(0), opt.perf()), "lane 0 shares the base lane");
         let feasible = opt.feasible(16);
         for built in [false, true] {
             if built {
@@ -224,6 +227,142 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+// ---- The joint (SKU, C, B) decision against a brute-force oracle --------
+
+/// `φ(C)` and `l_req(C, α)` under `engine`'s estimator, straight from the
+/// cost model.
+fn price(
+    perf: &PerfModel,
+    engine: EngineMode,
+    c: &ParallelConfig,
+    alpha: f64,
+) -> (f64, SimDuration) {
+    match engine {
+        EngineMode::FixedBatch => (perf.throughput(c), perf.request_latency(c, alpha)),
+        EngineMode::ContinuousBatching => (
+            perf.throughput_continuous(c),
+            perf.request_latency_continuous(c, alpha),
+        ),
+    }
+}
+
+/// Algorithm 1 over SKU lanes by brute force: every lane's space freshly
+/// enumerated at `max(16, avail[i])` instances and priced from that lane's
+/// `PerfModel`, the joint minimum taken over `(l_req, instances, lane,
+/// config)` for the target and the within-availability pick, and the
+/// fallback maximum over `(φ, Reverse((lane, config)))`.
+fn decide_multi_oracle(
+    opt: &ConfigOptimizer,
+    engine: EngineMode,
+    avail: &[u32],
+    alpha: f64,
+) -> MultiSkuDecision {
+    type Key = (SimDuration, u32, usize, ParallelConfig);
+    let mut target: Option<Key> = None;
+    let mut now_sustaining: Option<Key> = None;
+    let mut fastest: Option<(f64, Reverse<(usize, ParallelConfig)>)> = None;
+    for (i, &lane_avail) in avail.iter().enumerate() {
+        let ty = opt.lane_type(i);
+        let perf = opt.lane_perf(i);
+        let gpi = ty.gpus_per_instance;
+        let configs = enumerate_configs(
+            perf.model(),
+            opt.memory(),
+            &ty.gpu,
+            &ConfigSpace::default(),
+            lane_avail.max(16) * gpi as u32,
+        );
+        for c in configs {
+            let instances = c.instances_needed(gpi);
+            let (phi, l) = price(perf, engine, &c, alpha);
+            if phi >= alpha {
+                let k = (l, instances, i, c);
+                if target.is_none_or(|b| k < b) {
+                    target = Some(k);
+                }
+                if instances <= lane_avail && now_sustaining.is_none_or(|b| k < b) {
+                    now_sustaining = Some(k);
+                }
+            }
+            if instances <= lane_avail {
+                let k = (phi, Reverse((i, c)));
+                if fastest
+                    .as_ref()
+                    .is_none_or(|b| k.partial_cmp(b) == Some(Ordering::Greater))
+                {
+                    fastest = Some(k);
+                }
+            }
+        }
+    }
+    let fastest = fastest.map(|(_, Reverse(pick))| pick);
+    match target {
+        Some((_, needed, lane, c)) => MultiSkuDecision {
+            now: if needed <= avail[lane] {
+                Some((lane, c))
+            } else {
+                now_sustaining.map(|(_, _, i, c)| (i, c)).or(fastest)
+            },
+            target: Some((lane, c)),
+            instance_delta: needed as i64 - avail[lane] as i64,
+        },
+        None => MultiSkuDecision {
+            now: fastest,
+            target: fastest,
+            instance_delta: fastest
+                .map(|(i, c)| {
+                    c.instances_needed(opt.lane_type(i).gpus_per_instance) as i64 - avail[i] as i64
+                })
+                .unwrap_or(0),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `decide_multi` — frontier scans, pruning, the memo and the lazy
+    /// fallback — picks exactly what the brute-force oracle picks, over
+    /// 1–3 lanes, per-lane availability 0..=16, any rate, both engines.
+    /// SKUs may repeat, and `mirror` makes lane 1 a copy of lane 0 (same
+    /// SKU, same availability), so every key ties across those two lanes
+    /// and only the lane index breaks the tie. Each query runs twice so
+    /// the memo-hit path is held to the oracle too.
+    #[test]
+    fn decide_multi_equals_the_brute_force_oracle(
+        (lane_count, mirror) in (1usize..4, 0usize..2),
+        skus in (0usize..4, 0usize..4, 0usize..4),
+        avail in (0u32..17, 0u32..17, 0u32..17),
+        alpha_millis in 0u32..8000,
+        model_sel in 0usize..3,
+        engine_sel in 0usize..2,
+    ) {
+        let (skus, avail) = if mirror == 1 {
+            ((skus.0, skus.0, skus.2), (avail.0, avail.0, avail.2))
+        } else {
+            (skus, avail)
+        };
+        let all = [
+            InstanceType::t4(),
+            InstanceType::l4(),
+            InstanceType::a100(),
+            InstanceType::h100(),
+        ];
+        let engine = [EngineMode::FixedBatch, EngineMode::ContinuousBatching][engine_sel];
+        let model = ModelSpec::paper_models()[model_sel].clone();
+        let mut opt = ConfigOptimizer::paper_defaults(model, 16).with_engine_mode(engine);
+        for &s in [skus.0, skus.1, skus.2].iter().take(lane_count) {
+            opt = opt.with_sku(all[s].clone());
+        }
+        let avail = [avail.0, avail.1, avail.2];
+        let avail = &avail[..lane_count];
+        let alpha = alpha_millis as f64 / 1000.0;
+        let oracle = decide_multi_oracle(&opt, engine, avail, alpha);
+        prop_assert_eq!(opt.decide_multi(avail, alpha), oracle, "{engine:?} {avail:?} @ {alpha}");
+        prop_assert_eq!(opt.decide_multi(avail, alpha), oracle, "memo hit");
     }
 }
 

@@ -6,8 +6,9 @@
 //! release mode, see the `control_plane` bench) so only gross regressions
 //! — e.g. losing the frontier/memo and falling back to per-call
 //! re-enumeration at scale — can trip them, never CI jitter or debug-mode
-//! overhead. CI additionally asserts the release-mode number out of
-//! `BENCH_PR5.json` in the bench-smoke job.
+//! overhead. CI's bench-smoke job additionally checks the release-mode
+//! numbers in `BENCH_PR10.json`, including two relative clauses that fail
+//! when the frontier or the memo stops working.
 
 use std::time::Instant;
 
