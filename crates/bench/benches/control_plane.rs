@@ -6,12 +6,12 @@
 //! * `decide_reference/<N>` — the pre-frontier path (fresh enumeration +
 //!   per-candidate cost-model pricing on every call), kept as the
 //!   before/after baseline;
-//! * `decide_frontier/<N>` — the frontier-backed path with the memo
-//!   defeated (a fresh `α` every call), i.e. the cost of one real
-//!   re-decision at event-churn time;
+//! * `decide_frontier/<N>` — the frontier-backed path at an arrival rate
+//!   it has never seen (a fresh `α` every call, never repeated), i.e. the
+//!   cost of one minima-row build: a real re-decision at event-churn time;
 //! * `decide_warm/<N>` — the steady-state path (same `(N, α)` repeated),
-//!   i.e. a memo hit. This is the number CI's perf-smoke step holds
-//!   against the paper's 1 s re-decision budget.
+//!   i.e. a memo hit: two minima-table lookups. This is the number CI's
+//!   perf-smoke step holds against the paper's 1 s re-decision budget.
 //!
 //! **`scheduler_hot_loop`** — the continuous engine's per-boundary work:
 //! the allocation-free SLO admission verdict at a full batch, the EDF
@@ -43,12 +43,13 @@ fn bench_control_plane(c: &mut Criterion) {
             b.iter(|| opt.decide_reference(black_box(n), black_box(0.35)))
         });
         g.bench_function(BenchmarkId::new("decide_frontier", ceiling), |b| {
-            // A fresh α each call defeats the memo (and keeps evicting
-            // it), so this measures a genuine frontier-scan re-decision.
+            // A never-repeated α each call misses the minima table (and
+            // keeps evicting it), so every call builds a row: a genuine
+            // frontier-scan re-decision.
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
-                opt.decide(black_box(n), 0.1 + (i % 1024) as f64 * 1e-4)
+                opt.decide(black_box(n), 0.1 + i as f64 * 1e-7)
             })
         });
         g.bench_function(BenchmarkId::new("decide_warm", ceiling), |b| {

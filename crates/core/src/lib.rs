@@ -45,7 +45,7 @@ pub use audit::{AuditReport, InvariantAuditor, Violation};
 pub use config::{AblationFlags, EngineMode, Policy, SystemOptions};
 pub use devicemap::{map_devices, map_devices_with_skus, DeviceMapOutcome, SkuTable};
 pub use fleetctl::{FleetController, FleetPolicy, PreemptionEstimator};
-pub use optimizer::{ConfigOptimizer, MultiSkuDecision, OptimizerDecision, MAX_SKU_LANES};
+pub use optimizer::{ConfigOptimizer, MultiSkuDecision, OptimizerDecision};
 pub use report::{ConfigChange, CostReport, RunReport, SkuCost};
 pub use scale::{EpochRecord, ScaleReport, ShardedSystem};
 pub use system::{Scenario, ServingSystem};

@@ -14,37 +14,53 @@
 //! # Pricing lanes
 //!
 //! Every SKU is priced through one private lane: its `PerfModel`, GPU,
-//! GPUs per instance and a lazily built [`CandidateFrontier`]. The base
-//! fleet is a lane, and each SKU registered with
+//! GPUs per instance, a lazily built [`CandidateFrontier`] and a minima
+//! table over it. The base fleet is a lane, and each SKU registered with
 //! [`ConfigOptimizer::with_sku`] gets its own lane unless it prices
-//! exactly like the base, in which case it shares the base lane. The
-//! single-SKU [`ConfigOptimizer::decide`] is the joint
-//! [`ConfigOptimizer::decide_multi`] over that one lane: both run the same
-//! scan, and differ only in how they report the instance delta.
+//! exactly like the base, in which case it shares the base lane, table
+//! included. The single-SKU [`ConfigOptimizer::decide`] is the joint
+//! [`ConfigOptimizer::decide_multi`] over that one lane: both read the
+//! same tables, and differ only in how they report the instance delta.
 //!
 //! # Hot-path architecture
 //!
 //! The paper's bound is "re-decide within 1 second" (§3.2) — and with
-//! multi-pool markets every grant/preemption in every pool hits this code.
-//! The decision paths therefore run over a memoized
+//! multi-pool markets every rate tick, grant and preemption in every pool
+//! hits this code. The decision paths therefore run over a memoized
 //! [`CandidateFrontier`]: the space is enumerated and priced **once** per
 //! lane and fleet ceiling, for the optimizer's own engine only;
-//! `feasible_at(n)` is a range lookup, Pareto-dominated candidates are
-//! skipped, one scan per lane prices each candidate's `l_req` once, and a
-//! small per-query decision memo answers repeated queries outright.
+//! `feasible_at(n)` is a range lookup and Pareto-dominated candidates are
+//! skipped.
+//!
+//! A lane's answer depends only on the arrival rate and that lane's
+//! availability, and a run sees few distinct rates, so each lane keeps a
+//! bounded table with one row per rate (keyed by α's IEEE-754 bits): for
+//! every fleet size `n` up to the frontier's ceiling, the minimum
+//! sustaining candidate needing at most `n` instances. One pass over the
+//! instance-sorted frontier builds a row, skipping unpriced every
+//! candidate whose cached latency floor already exceeds the running
+//! minimum. Every later decision at that rate, at any availability, is
+//! two lookups per lane, and only picks from competing lanes are
+//! re-priced. Rows index one frontier, so they go when it is rebuilt or
+//! grown and when the engine mode changes. Only the max-throughput
+//! fallback (line 5) and [`ConfigOptimizer::decide_slo`] (behind its own
+//! small memo) still scan.
+//!
 //! Decisions are **bit-identical** with the fresh-enumeration reference
 //! implementations ([`ConfigOptimizer::decide_reference`] and friends),
 //! which are kept — unchanged from the pre-frontier code — as the contract
-//! the equivalence property test and the §6.2 pinned tests hold both paths
-//! to, and as the `control_plane` bench's baseline.
+//! the equivalence property tests and the §6.2 pinned tests hold both
+//! paths to, and as the `control_plane` bench's baseline.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::cmp::{Ordering, Reverse};
+use std::collections::HashMap;
 
 use cloudsim::{GpuSpec, InstanceType};
 use llmsim::{CostModel, MemoryModel, ModelSpec};
 use parallelism::{
-    enumerate_configs, CandidateFrontier, ConfigSpace, EngineMode, ParallelConfig, PerfModel,
+    enumerate_configs, Candidate, CandidateFrontier, ConfigSpace, EngineMode, ParallelConfig,
+    PerfModel,
 };
 use simkit::SimDuration;
 
@@ -79,65 +95,48 @@ pub struct MultiSkuDecision {
     pub instance_delta: i64,
 }
 
-/// Upper bound on registered SKU lanes: the memo keys availability as a
-/// fixed `[u32; MAX_SKU_LANES]` so it stays `Copy`.
-pub const MAX_SKU_LANES: usize = 8;
-
-/// Key of a single-SKU decision. α is keyed by its IEEE-754 bits: the memo
-/// must never conflate rates that price differently.
+/// Key of a [`ConfigOptimizer::decide_slo`] decision. α is keyed by its
+/// IEEE-754 bits: the memo must never conflate rates that price
+/// differently.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum MemoKey {
-    /// `decide(n, α)`.
-    Fresh { n: u32, alpha_bits: u64 },
-    /// `decide_slo(n, α, slo)`.
-    Slo {
-        n: u32,
-        alpha_bits: u64,
-        slo: SimDuration,
-    },
-}
-
-/// Key of a [`ConfigOptimizer::decide_multi`] decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct MultiKey {
-    avail: [u32; MAX_SKU_LANES],
+struct SloKey {
+    n: u32,
     alpha_bits: u64,
+    slo: SimDuration,
 }
 
-/// A small decision memo: repeated queries — the common case under event
-/// churn, where every pool transition re-asks the same question within
-/// one rate-tick window — return without touching a frontier. Bounded and
-/// cleared wholesale on overflow (decisions are pure, so eviction is only
-/// a space/speed trade-off, never a correctness one).
-#[derive(Debug, Clone)]
-struct Memo<K, V>(Vec<(K, V)>);
-
-/// Entries kept before a memo is cleared wholesale.
+/// Entries kept before the SLO decision memo is cleared wholesale
+/// (decisions are pure, so eviction is only a space/speed trade-off,
+/// never a correctness one).
 const MEMO_CAP: usize = 64;
 
-impl<K: PartialEq, V: Copy> Memo<K, V> {
-    fn get(&self, key: &K) -> Option<V> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
+/// Arrival rates whose minima rows one lane keeps before it drops them
+/// all. A run sees few distinct rates: the estimator divides an arrival
+/// count by a fixed window.
+const ROW_CAP: usize = 1024;
 
-    fn insert(&mut self, key: K, value: V) {
-        if self.0.len() >= MEMO_CAP {
-            self.0.clear();
-        }
-        self.0.push((key, value));
-    }
-}
+/// A row entry naming no candidate: nothing within that many instances
+/// sustains the row's rate.
+const NO_PICK: u32 = u32::MAX;
 
 /// One SKU's pricing state: its performance model (the per-model
-/// calibration scale on that SKU's hardware terms), its hardware shape and
+/// calibration scale on that SKU's hardware terms), its hardware shape,
 /// its memoized frontier, built lazily at the fleet ceiling under the
-/// optimizer's engine (and grown if a query ever exceeds it).
+/// optimizer's engine (and grown if a query ever exceeds it), and the
+/// minima table over that frontier.
 #[derive(Debug, Clone)]
 struct Lane {
     perf: PerfModel,
     gpu: GpuSpec,
     gpus_per_instance: u8,
     frontier: RefCell<Option<CandidateFrontier>>,
+    /// One row per arrival rate, keyed by α's IEEE-754 bits: `row[n]`
+    /// indexes the minimum-`(l_req, instances, config)` candidate
+    /// sustaining α among those needing at most `n` instances, for
+    /// `n = 0..=frontier.ceiling()` ([`NO_PICK`] when none does). Rows
+    /// index the current frontier, so they go whenever it is rebuilt.
+    /// Only ever probed by key, so the map's order never shows.
+    rows: RefCell<HashMap<u64, Box<[u32]>>>,
 }
 
 impl Lane {
@@ -147,7 +146,41 @@ impl Lane {
             gpu,
             gpus_per_instance,
             frontier: RefCell::new(None),
+            rows: RefCell::new(HashMap::new()),
         }
+    }
+
+    /// Drops the frontier and every row priced over it.
+    fn reset(&mut self) {
+        *self.frontier.get_mut() = None;
+        self.rows.get_mut().clear();
+    }
+
+    /// The minimum sustaining candidates of `fr` (this lane's frontier)
+    /// within `ceiling` and within `n` instances at rate `alpha`, read
+    /// from `alpha`'s row, and whether the row had to be built first.
+    fn sustaining_picks<'f>(
+        &self,
+        fr: &'f CandidateFrontier,
+        alpha: f64,
+        ceiling: u32,
+        n: u32,
+    ) -> ([Option<&'f Candidate>; 2], bool) {
+        let mut rows = self.rows.borrow_mut();
+        let bits = alpha.to_bits();
+        if rows.len() >= ROW_CAP && !rows.contains_key(&bits) {
+            rows.clear();
+        }
+        let mut built = false;
+        let row = rows.entry(bits).or_insert_with(|| {
+            built = true;
+            minima_row(fr, &self.perf, alpha)
+        });
+        let picks = [ceiling, n].map(|m| match row[m as usize] {
+            NO_PICK => None,
+            i => Some(fr.candidate(i)),
+        });
+        (picks, built)
     }
 }
 
@@ -174,10 +207,6 @@ pub(crate) fn sku_perf_model(
     let cost = CostModel::for_instance_type(ty).with_scale(scale);
     PerfModel::new(model, cost, s_in, s_out)
 }
-
-/// A candidate's selection key within one lane: `(l_req, instances,
-/// canonical config)`.
-type LatencyKey = (SimDuration, u32, ParallelConfig);
 
 /// A `(lane index, config)` pick, if any.
 type LanePick = Option<(usize, ParallelConfig)>;
@@ -213,13 +242,12 @@ pub struct ConfigOptimizer {
     /// registers one per distinct SKU in its fleet, a homogeneous fleet's
     /// base SKU included.
     lanes: Vec<SkuLane>,
-    /// Memo of the single-SKU decisions.
-    memo: RefCell<Memo<MemoKey, OptimizerDecision>>,
-    /// Memo of [`ConfigOptimizer::decide_multi`].
-    multi_memo: RefCell<Memo<MultiKey, MultiSkuDecision>>,
-    /// Lifetime count of decisions answered from a memo. Telemetry
-    /// instrumentation: callers difference it around a `decide*` call to
-    /// tag the decision memo-hit or miss.
+    /// Memo of [`ConfigOptimizer::decide_slo`], cleared wholesale past
+    /// [`MEMO_CAP`] entries.
+    slo_memo: RefCell<Vec<(SloKey, OptimizerDecision)>>,
+    /// Lifetime count of decisions answered with no frontier scan.
+    /// Telemetry instrumentation: callers difference it around a
+    /// `decide*` call to tag the decision memo-hit or miss.
     memo_hits: Cell<u64>,
 }
 
@@ -245,8 +273,7 @@ impl ConfigOptimizer {
             max_instances,
             engine: EngineMode::FixedBatch,
             lanes: Vec::new(),
-            memo: RefCell::new(Memo(Vec::new())),
-            multi_memo: RefCell::new(Memo(Vec::new())),
+            slo_memo: RefCell::new(Vec::new()),
             memo_hits: Cell::new(0),
         }
     }
@@ -255,16 +282,15 @@ impl ConfigOptimizer {
     /// model the engine that actually serves (the continuous engine has no
     /// batch-fill delay and turns slots over faster, which shifts its
     /// latency-minimizing choices toward larger batch capacities).
-    /// Frontiers are priced for one engine, so this drops every frontier
-    /// and memo entry.
+    /// Frontiers are priced for one engine, so this drops every frontier,
+    /// minima row and memo entry.
     pub fn with_engine_mode(mut self, engine: EngineMode) -> Self {
         self.engine = engine;
         let own = self.lanes.iter_mut().filter_map(|l| l.own.as_mut());
         for lane in std::iter::once(&mut self.base).chain(own) {
-            *lane.frontier.get_mut() = None;
+            lane.reset();
         }
-        self.memo.get_mut().0.clear();
-        self.multi_memo.get_mut().0.clear();
+        self.slo_memo.get_mut().clear();
         self
     }
 
@@ -273,13 +299,8 @@ impl ConfigOptimizer {
     /// sequence shape. Lane indices are assignment order — the caller's
     /// pool→SKU mapping must use the same order. A SKU that prices exactly
     /// like the base fleet (equal `PerfModel`, GPU and GPUs per instance)
-    /// shares the base lane, frontier included.
-    ///
-    /// # Panics
-    ///
-    /// Panics past [`MAX_SKU_LANES`] registered lanes.
+    /// shares the base lane, frontier and minima table included.
     pub fn with_sku(mut self, ty: InstanceType) -> Self {
-        assert!(self.lanes.len() < MAX_SKU_LANES, "too many SKU lanes");
         let base = &self.base;
         let (s_in, s_out) = base.perf.sequence_shape();
         let perf = sku_perf_model(base.perf.model().clone(), &ty, s_in, s_out);
@@ -288,13 +309,13 @@ impl ConfigOptimizer {
             && ty.gpus_per_instance == base.gpus_per_instance;
         let own = (!shares_base).then(|| Lane::new(perf, ty.gpu, ty.gpus_per_instance));
         self.lanes.push(SkuLane { ty, own });
-        self.multi_memo.get_mut().0.clear();
         self
     }
 
-    /// Lifetime count of `decide*` queries answered from a memo instead of
-    /// a frontier scan. Monotone; difference around a call to learn whether
-    /// that call hit.
+    /// Lifetime count of `decide*` queries answered with no frontier scan:
+    /// every lane's minima row for the rate was already built (and, for
+    /// [`ConfigOptimizer::decide_slo`], the answer was memoized).
+    /// Monotone; difference around a call to learn whether that call hit.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits.get()
     }
@@ -399,9 +420,9 @@ impl ConfigOptimizer {
         )
     }
 
-    /// `lane`'s frontier, built (or grown) to cover `ceiling` instances.
-    /// Must not be called while a borrow of a frontier it would rebuild is
-    /// live.
+    /// `lane`'s frontier, built (or grown) to cover `ceiling` instances; a
+    /// rebuild drops the lane's minima rows. Must not be called while a
+    /// borrow of a frontier it would rebuild is live.
     fn frontier<'a>(&'a self, lane: &'a Lane, ceiling: u32) -> Ref<'a, CandidateFrontier> {
         let covered = lane
             .frontier
@@ -409,6 +430,7 @@ impl ConfigOptimizer {
             .as_ref()
             .is_some_and(|f| f.ceiling() >= ceiling);
         if !covered {
+            lane.rows.borrow_mut().clear();
             *lane.frontier.borrow_mut() = Some(CandidateFrontier::new(
                 &lane.perf,
                 self.engine,
@@ -422,13 +444,9 @@ impl ConfigOptimizer {
         Ref::map(lane.frontier.borrow(), |f| f.as_ref().expect("built above"))
     }
 
-    /// A memoized decision for `key`, counted as a memo hit.
-    fn recall<K: PartialEq, V: Copy>(&self, memo: &RefCell<Memo<K, V>>, key: &K) -> Option<V> {
-        let hit = memo.borrow().get(key);
-        if hit.is_some() {
-            self.memo_hits.set(self.memo_hits.get() + 1);
-        }
-        hit
+    /// Counts one decision answered with no frontier scan.
+    fn note_hit(&self) {
+        self.memo_hits.set(self.memo_hits.get() + 1);
     }
 
     /// Runs Algorithm 1 for `n_instances` available instances (including
@@ -456,9 +474,7 @@ impl ConfigOptimizer {
         }
         // Direct membership test: the incumbent is feasible iff it is in
         // the enumerated space and fits the fleet — a binary search over
-        // the frontier, not an O(|space|) re-enumeration. (A memo hit in
-        // `decide_fresh` returns before touching the frontier, so build it
-        // here.)
+        // the frontier, not an O(|space|) re-enumeration.
         let ceiling = self.max_instances.max(n_instances);
         if !self
             .frontier(&self.base, ceiling)
@@ -492,12 +508,12 @@ impl ConfigOptimizer {
     /// Falls back to plain latency minimization when no configuration can
     /// meet the SLO.
     pub fn decide_slo(&self, n_instances: u32, alpha: f64, slo: SimDuration) -> OptimizerDecision {
-        let key = MemoKey::Slo {
+        let key = SloKey {
             n: n_instances,
             alpha_bits: alpha.to_bits(),
             slo,
         };
-        if let Some(d) = self.recall(&self.memo, &key) {
+        if let Some(d) = self.recall_slo(&key) {
             return d;
         }
         let ceiling = self.max_instances.max(n_instances);
@@ -522,7 +538,7 @@ impl ConfigOptimizer {
             // memoized under the SLO key too, so a standing unmeetable SLO
             // does not re-scan the ceiling range on every event.
             let d = self.decide(n_instances, alpha);
-            self.memo.borrow_mut().insert(key, d);
+            self.memoize_slo(key, d);
             return d;
         };
         let now = if needed <= n_instances {
@@ -537,8 +553,28 @@ impl ConfigOptimizer {
             target: Some(target),
             instance_delta: needed as i64 - n_instances as i64,
         };
-        self.memo.borrow_mut().insert(key, d);
+        self.memoize_slo(key, d);
         d
+    }
+
+    /// A memoized [`ConfigOptimizer::decide_slo`] answer, counted as a
+    /// memo hit.
+    fn recall_slo(&self, key: &SloKey) -> Option<OptimizerDecision> {
+        let memo = self.slo_memo.borrow();
+        let hit = memo.iter().find(|(k, _)| k == key).map(|&(_, d)| d);
+        if hit.is_some() {
+            self.note_hit();
+        }
+        hit
+    }
+
+    /// Memoizes a [`ConfigOptimizer::decide_slo`] answer.
+    fn memoize_slo(&self, key: SloKey, d: OptimizerDecision) {
+        let mut memo = self.slo_memo.borrow_mut();
+        if memo.len() >= MEMO_CAP {
+            memo.clear();
+        }
+        memo.push((key, d));
     }
 
     /// Algorithm 1 over a heterogeneous fleet: given per-lane instance
@@ -567,46 +603,27 @@ impl ConfigOptimizer {
     pub fn decide_multi(&self, avail: &[u32], alpha: f64) -> MultiSkuDecision {
         assert!(!self.lanes.is_empty(), "no SKU lanes registered");
         assert_eq!(avail.len(), self.lanes.len(), "one entry per lane");
-        let mut key = MultiKey {
-            avail: [0; MAX_SKU_LANES],
-            alpha_bits: alpha.to_bits(),
-        };
-        key.avail[..avail.len()].copy_from_slice(avail);
-        if let Some(d) = self.recall(&self.multi_memo, &key) {
-            return d;
-        }
         let lanes: Vec<(&Lane, u32)> = avail
             .iter()
             .enumerate()
             .map(|(i, &a)| (self.lane(i), a))
             .collect();
         let (now, target, needed) = self.joint(&lanes, alpha);
-        let d = MultiSkuDecision {
+        MultiSkuDecision {
             now,
             target,
             instance_delta: target.map_or(0, |(i, _)| needed as i64 - avail[i] as i64),
-        };
-        self.multi_memo.borrow_mut().insert(key, d);
-        d
+        }
     }
 
-    /// Algorithm 1's core decision over the base lane, behind the memo.
+    /// Algorithm 1's core decision over the base lane.
     fn decide_fresh(&self, n_instances: u32, alpha: f64) -> OptimizerDecision {
-        let key = MemoKey::Fresh {
-            n: n_instances,
-            alpha_bits: alpha.to_bits(),
-        };
-        if let Some(d) = self.recall(&self.memo, &key) {
-            return d;
-        }
         let (now, target, needed) = self.joint(&[(&self.base, n_instances)], alpha);
-        let d = OptimizerDecision {
+        OptimizerDecision {
             now: now.map(|(_, c)| c),
             target: target.map(|(_, c)| c),
             instance_delta: needed as i64 - n_instances as i64,
-        };
-        self.memo.borrow_mut().insert(key, d);
-        d
+        }
     }
 
     /// Algorithm 1's lines 2–5 over `(lane, available instances)` pairs,
@@ -616,23 +633,41 @@ impl ConfigOptimizer {
     /// * Line 3: the target is the minimum-`(l_req, instances, lane,
     ///   config)` candidate sustaining `alpha` within any lane's ceiling;
     ///   `now` is the target when it fits its lane, else the minimum
-    ///   within each lane's availability.
+    ///   within each lane's availability. Each lane answers both from its
+    ///   minima row for `alpha`; only picks from competing lanes are
+    ///   re-priced.
     /// * Line 5: when nothing sustains `alpha` (for `now`, within
     ///   availability), the maximum-`(φ, Reverse((lane, config)))`
     ///   candidate within availability — scanned only when needed.
+    ///
+    /// Counts a memo hit when no row had to be built and line 5 did not
+    /// run: the decision touched no frontier beyond table lookups.
     fn joint(&self, lanes: &[(&Lane, u32)], alpha: f64) -> (LanePick, LanePick, u32) {
         let ceiling = |avail: u32| self.max_instances.max(avail);
         let mut target: Option<(SimDuration, u32, usize, ParallelConfig)> = None;
         let mut now = None;
+        let mut scanned = false;
+        let contested = lanes.len() > 1;
         for (i, &(lane, avail)) in lanes.iter().enumerate() {
             let fr = self.frontier(lane, ceiling(avail));
-            let (at_ceiling, within) =
-                sustaining_minima(&fr, ceiling(avail), avail, &lane.perf, alpha);
-            let with_lane = |(l, instances, c): LatencyKey| (l, instances, i, c);
-            target = target.into_iter().chain(at_ceiling.map(with_lane)).min();
-            now = now.into_iter().chain(within.map(with_lane)).min();
+            let ([at_ceiling, within], built) =
+                lane.sustaining_picks(&fr, alpha, ceiling(avail), avail);
+            scanned |= built;
+            // Picks compete on `l_req` only across lanes: a lone lane's
+            // picks win unopposed, so they are not re-priced.
+            let key = |c: &Candidate| {
+                let l = if contested {
+                    c.latency(&lane.perf, alpha)
+                } else {
+                    SimDuration::ZERO
+                };
+                (l, c.instances, i, c.config)
+            };
+            target = target.into_iter().chain(at_ceiling.map(key)).min();
+            now = now.into_iter().chain(within.map(key)).min();
         }
-        let fastest = || {
+        let mut fastest = || {
+            scanned = true;
             let mut best: Option<(f64, Reverse<(usize, ParallelConfig)>)> = None;
             for (i, &(lane, avail)) in lanes.iter().enumerate() {
                 for cand in self.frontier(lane, ceiling(avail)).pruned_at(avail) {
@@ -647,7 +682,7 @@ impl ConfigOptimizer {
             }
             best.map(|(_, Reverse(pick))| pick)
         };
-        match target {
+        let picks = match target {
             Some((_, needed, lane, config)) => {
                 let now = if needed <= lanes[lane].1 {
                     Some((lane, config))
@@ -662,7 +697,11 @@ impl ConfigOptimizer {
                     best.map_or(0, |(i, c)| c.instances_needed(lanes[i].0.gpus_per_instance));
                 (best, best, needed)
             }
+        };
+        if !scanned {
+            self.note_hit();
         }
+        picks
     }
 
     // ---- Reference implementations ----------------------------------
@@ -861,36 +900,35 @@ impl ConfigOptimizer {
     }
 }
 
-/// The minimum-`(l_req, instances, canonical)` candidates sustaining
-/// `alpha` within `ceiling` instances and within `n ≤ ceiling` instances,
-/// from one scan over the pruned range that prices each sustaining
-/// candidate's `l_req` once (the pruned range at `n` is a prefix of the
-/// one at the ceiling). Bit-identical to `best_latency` over the
-/// sustaining subset of a fresh enumeration: keys are unique (the config
-/// is part of the key), so the scan order cannot matter, and pruning only
-/// skips candidates that lose every key comparison.
-fn sustaining_minima(
-    fr: &CandidateFrontier,
-    ceiling: u32,
-    n: u32,
-    perf: &PerfModel,
-    alpha: f64,
-) -> (Option<LatencyKey>, Option<LatencyKey>) {
-    let mut at_ceiling: Option<LatencyKey> = None;
-    let mut within: Option<LatencyKey> = None;
-    for cand in fr.pruned_at(ceiling) {
-        if cand.throughput() < alpha {
+/// One minima row of `fr` at rate `alpha` (see `Lane::rows`), from one
+/// pass over the instance-sorted pruned candidates that records the
+/// running minimum at each instance-bucket boundary. Scanning in
+/// `(instances, config)` order, a candidate beats the running minimum iff
+/// its `l_req` is strictly lower, so the row is bit-identical to
+/// `best_latency` over the sustaining subset of a fresh enumeration at
+/// every fleet size (pruning only skips candidates that lose every key
+/// comparison). For `alpha > 0` a candidate whose latency floor exceeds
+/// the running minimum's `l_req` is skipped unpriced: it loses to that
+/// minimum, and the minimum only falls as the fleet grows.
+fn minima_row(fr: &CandidateFrontier, perf: &PerfModel, alpha: f64) -> Box<[u32]> {
+    let mut row = vec![NO_PICK; fr.ceiling() as usize + 1];
+    let (mut best, mut pick): (Option<SimDuration>, u32) = (None, NO_PICK);
+    let mut closed = 0;
+    for (i, cand) in fr.indexed_pruned() {
+        let bucket = cand.instances as usize;
+        row[closed..bucket].fill(pick);
+        closed = bucket;
+        let beaten = |floor| best.is_some_and(|l| floor > l);
+        if cand.throughput() < alpha || (alpha > 0.0 && beaten(cand.latency_floor())) {
             continue;
         }
-        let key = (cand.latency(perf, alpha), cand.instances, cand.config);
-        if at_ceiling.is_none_or(|b| key < b) {
-            at_ceiling = Some(key);
-        }
-        if cand.instances <= n && within.is_none_or(|b| key < b) {
-            within = Some(key);
+        let l = cand.latency(perf, alpha);
+        if best.is_none_or(|b| l < b) {
+            (best, pick) = (Some(l), i);
         }
     }
-    (at_ceiling, within)
+    row[closed..].fill(pick);
+    row.into_boxed_slice()
 }
 
 #[cfg(test)]
@@ -1021,27 +1059,49 @@ mod tests {
         assert!(c.total_gpus() <= 40);
     }
 
-    // ---- Frontier/memo mechanics -------------------------------------
+    // ---- Frontier/minima-table mechanics -----------------------------
 
     #[test]
     fn memoized_decisions_match_first_computation() {
         let o = opt(ModelSpec::gpt_20b());
         let first = o.decide(9, 0.4);
         for _ in 0..3 {
-            assert_eq!(o.decide(9, 0.4), first, "memo must be transparent");
+            assert_eq!(o.decide(9, 0.4), first, "the table must be transparent");
         }
         let slo = simkit::SimDuration::from_secs(60);
         let s1 = o.decide_slo(9, 0.4, slo);
         assert_eq!(o.decide_slo(9, 0.4, slo), s1);
     }
 
+    /// Number of minima rows the base lane holds.
+    fn rows(o: &ConfigOptimizer) -> usize {
+        o.base.rows.borrow().len()
+    }
+
+    #[test]
+    fn one_row_answers_every_fleet_size_at_its_rate() {
+        let o = opt(ModelSpec::gpt_20b());
+        let hits = o.memo_hits();
+        assert_eq!(o.decide(8, 0.35), o.decide_reference(8, 0.35));
+        assert_eq!(o.memo_hits(), hits, "the first query at a rate scans");
+        for n in [0u32, 3, 7, 12, 16] {
+            assert_eq!(o.decide(n, 0.35), o.decide_reference(n, 0.35), "n = {n}");
+        }
+        assert_eq!(rows(&o), 1, "one row per rate, whatever the fleet");
+        assert!(o.memo_hits() > hits, "later fleet sizes are table lookups");
+    }
+
     #[test]
     fn memo_overflow_clears_and_keeps_answers_correct() {
         let o = opt(ModelSpec::gpt_20b());
         let pinned = o.decide_reference(8, 0.35);
-        for i in 0..(2 * MEMO_CAP as u32) {
-            let alpha = 0.05 + i as f64 * 0.013;
-            assert_eq!(o.decide(8, alpha), o.decide_reference(8, alpha));
+        for i in 0..(ROW_CAP as u32 + 8) {
+            let alpha = 0.05 + i as f64 * 1e-3;
+            let d = o.decide(8, alpha);
+            if i % 97 == 0 {
+                assert_eq!(d, o.decide_reference(8, alpha), "α = {alpha}");
+            }
+            assert!(rows(&o) <= ROW_CAP, "the table is bounded");
         }
         assert_eq!(o.decide(8, 0.35), pinned);
     }
@@ -1050,11 +1110,15 @@ mod tests {
     fn queries_beyond_the_ceiling_grow_the_frontier() {
         let o = opt(ModelSpec::gpt_20b());
         // Warm the frontier at the ceiling, then exceed it: the frontier
-        // rebuilds at the larger fleet and the decision still matches the
-        // reference.
+        // rebuilds at the larger fleet, the rows priced over the old one
+        // go with it, and the decision still matches the reference.
         let _ = o.decide(8, 0.35);
+        let _ = o.decide(8, 0.5);
+        assert_eq!(rows(&o), 2);
         let big = o.decide(24, 0.35);
         assert_eq!(big, o.decide_reference(24, 0.35));
+        assert_eq!(rows(&o), 1, "growth drops the stale rows");
+        assert_eq!(o.decide(8, 0.5), o.decide_reference(8, 0.5));
     }
 
     #[test]
@@ -1067,23 +1131,14 @@ mod tests {
         assert_eq!(d_cont, cont.decide_reference(12, 0.35));
     }
 
-    /// Number of live single-SKU memo entries.
-    fn memo_len(o: &ConfigOptimizer) -> usize {
-        o.memo.borrow().0.len()
-    }
-
     #[test]
     fn engine_mode_flip_clears_the_memo_and_reprices() {
         let mut o = opt(ModelSpec::gpt_20b()); // FixedBatch by default
         let d_fixed = o.decide(12, 0.35);
-        assert_eq!(memo_len(&o), 1);
+        assert_eq!(rows(&o), 1);
         assert!(o.base.frontier.borrow().is_some());
         o = o.with_engine_mode(EngineMode::ContinuousBatching);
-        assert_eq!(
-            memo_len(&o),
-            0,
-            "the flip drops entries priced by the old engine"
-        );
+        assert_eq!(rows(&o), 0, "the flip drops rows priced by the old engine");
         assert!(
             o.base.frontier.borrow().is_none(),
             "and the old engine's frontier"
@@ -1097,7 +1152,13 @@ mod tests {
             d_fixed,
             "round-trip reprices identically"
         );
-        assert_eq!(memo_len(&o), 1);
+        assert_eq!(rows(&o), 1);
+    }
+
+    #[test]
+    fn the_optimizer_is_send() {
+        fn send<T: Send>() {}
+        send::<ConfigOptimizer>();
     }
 
     // ---- Heterogeneous lanes -----------------------------------------
@@ -1186,12 +1247,15 @@ mod tests {
             .with_sku(InstanceType::t4())
             .with_sku(InstanceType::l4());
         let first = o.decide_multi(&[6, 4], 0.35);
+        let hits = o.memo_hits();
         for _ in 0..3 {
             assert_eq!(o.decide_multi(&[6, 4], 0.35), first);
         }
-        // Overflow the memo and confirm the pinned answer survives.
-        for i in 0..(2 * MEMO_CAP as u32) {
-            let _ = o.decide_multi(&[6, 4], 0.05 + i as f64 * 0.013);
+        assert_eq!(o.memo_hits(), hits + 3, "repeats touch no frontier");
+        // Overflow every lane's table and confirm the pinned answer
+        // survives.
+        for i in 0..(ROW_CAP as u32 + 8) {
+            let _ = o.decide_multi(&[6, 4], 0.05 + i as f64 * 1e-3);
         }
         assert_eq!(o.decide_multi(&[6, 4], 0.35), first);
     }

@@ -10,8 +10,9 @@
 //! behaviours, not a legacy fork, so both stay; this file is the only
 //! place that asks which one runs.
 
-use cloudsim::{InstanceId, InstanceKind, PoolId};
+use cloudsim::{CloudMarket, InstanceId, InstanceKind, PoolId};
 use fleetctl::{FleetView, PoolCaps, PoolView};
+use llmsim::{MemoryModel, ModelSpec};
 use simkit::SimTime;
 use telemetry::TelemetryEvent;
 
@@ -111,6 +112,27 @@ impl ServingSystem {
         }
     }
 
+    /// Each pool's capability card, less its quoted spot price: a pool's
+    /// SKU, the model and the fleet ceiling are fixed for the run, so
+    /// [`ServingSystem::new`] builds these once and every view copies them.
+    pub(super) fn pool_caps(
+        cloud: &CloudMarket,
+        mem: &MemoryModel,
+        model: &ModelSpec,
+        max_instances: u32,
+    ) -> Vec<PoolCaps> {
+        (0..cloud.pool_count())
+            .map(|i| {
+                let ty = cloud.instance_type_in(PoolId(i as u32));
+                let gpus = max_instances * ty.gpus_per_instance as u32;
+                PoolCaps {
+                    fits_model: mem.min_gpus(model, &ty.gpu, gpus).is_some(),
+                    ..PoolCaps::of(ty)
+                }
+            })
+            .collect()
+    }
+
     /// A point-in-time [`FleetView`] for the controller: lease-level
     /// per-pool counts from the market, plus the optimizer's target.
     fn fleet_view(&self) -> FleetView {
@@ -140,22 +162,12 @@ impl ServingSystem {
             pool.lapsed_spot = self.cloud.lapsed_spot_in(pid);
             // The pool's capability/price card: price-blind policies
             // ignore it; the cost-aware hedge rungs mask and bias by it.
-            let ty = self.cloud.instance_type_in(pid);
-            pool.caps = PoolCaps::of(ty);
+            pool.caps = self.pool_caps[i];
             // Dynamically priced pools quote their *current* spot price,
             // not the SKU's list price. Constant pools round to the same
             // cents as the list price, keeping their views byte-identical.
             pool.caps.spot_cents_per_hour =
                 (self.cloud.spot_price_in(pid, self.now) * 100.0).round() as u32;
-            pool.caps.fits_model = self
-                .optimizer
-                .memory()
-                .min_gpus(
-                    &self.scenario.model,
-                    &ty.gpu,
-                    self.opts.max_instances * ty.gpus_per_instance as u32,
-                )
-                .is_some();
         }
         FleetView {
             pools,

@@ -253,6 +253,8 @@ pub struct ServingSystem {
     initial_fleet_target: u32,
     /// The SKU lanes the pools map onto (see [`Lanes`]).
     lanes: Lanes,
+    /// Each pool's static capability card (see `ServingSystem::pool_caps`).
+    pool_caps: Vec<fleetctl::PoolCaps>,
 
     // Accounting.
     outstanding: usize,
@@ -340,6 +342,12 @@ impl ServingSystem {
         if opts.telemetry {
             cloud.enable_telemetry();
         }
+        let pool_caps = ServingSystem::pool_caps(
+            &cloud,
+            optimizer.memory(),
+            &scenario.model,
+            opts.max_instances,
+        );
         let fleet = FleetController::new(
             opts.fleet_policy,
             cloud.pool_count(),
@@ -385,6 +393,7 @@ impl ServingSystem {
             frozen_config: None,
             initial_fleet_target: 0,
             lanes,
+            pool_caps,
             outstanding: scenario.requests.len(),
             arrivals_seen: Vec::new(),
             slo_rejections: Vec::new(),

@@ -20,7 +20,12 @@
 //! * **Pareto-prune** — candidates dominated at equal instance cost
 //!   (throughput no higher, latency no lower *for every* `α`, and losing
 //!   every tie-break) can never be chosen by any of Algorithm 1's
-//!   objectives, so the decision loops skip them entirely.
+//!   objectives, so the decision loops skip them entirely;
+//! * **bound below** — each candidate also caches an α-independent
+//!   [`Candidate::latency_floor`] (`l_exe` for fixed batch, `min slot +
+//!   min steady / 2` for continuous) that no `l_req` at `α > 0` undercuts,
+//!   so a scan for the minimum latency skips, unpriced, every candidate
+//!   whose floor already exceeds the best so far.
 //!
 //! The domination test is deliberately conservative: it only fires on
 //! component-wise orderings that imply `l_req(y, α) ≤ l_req(x, α)` for all
@@ -64,6 +69,8 @@ pub struct Candidate {
     pub instances: u32,
     /// Cached `φ(C)`.
     phi: f64,
+    /// Cached α-independent lower bound on `l_req(C, α)` for `α > 0`.
+    floor: SimDuration,
     pricing: Pricing,
 }
 
@@ -77,21 +84,28 @@ impl Candidate {
         let served = (config.data * config.batch) as f64;
         // Bitwise the same computations as `PerfModel::throughput` /
         // `throughput_continuous` over the cached components.
-        let (phi, pricing) = match engine {
+        let (phi, floor, pricing) = match engine {
             EngineMode::FixedBatch => {
                 let l_exe = perf.exec_latency(&config);
-                (served / l_exe.as_secs_f64(), Pricing::Fixed { l_exe })
+                (
+                    served / l_exe.as_secs_f64(),
+                    l_exe,
+                    Pricing::Fixed { l_exe },
+                )
             }
             EngineMode::ContinuousBatching => {
                 let slot_times: Box<[SimDuration]> = (1..=config.batch)
                     .map(|b| perf.slot_time(&config, b))
                     .collect();
-                let steady_times = (1..=config.batch)
+                let steady_times: Box<[SimDuration]> = (1..=config.batch)
                     .map(|b| perf.steady_iteration(&config, b))
                     .collect();
                 let phi = served / slot_times[config.batch as usize - 1].as_secs_f64();
+                let min = |t: &[SimDuration]| t.iter().copied().min().expect("B ≥ 1");
+                let floor = min(&slot_times) + min(&steady_times) / 2;
                 (
                     phi,
+                    floor,
                     Pricing::Continuous {
                         slot_times,
                         steady_times,
@@ -103,6 +117,7 @@ impl Candidate {
             config,
             instances: config.instances_needed(gpus_per_instance),
             phi,
+            floor,
             pricing,
         }
     }
@@ -127,6 +142,17 @@ impl Candidate {
                 |b| steady_times[b as usize - 1],
             ),
         }
+    }
+
+    /// A lower bound on [`Candidate::latency`] at every `α > 0`, cached at
+    /// build time: `l_exe` under the fixed-batch estimator (the fill and
+    /// queueing terms are non-negative), and `min slot + min steady / 2`
+    /// under the continuous one (its `l_req` is `slot(b̄) + steady(b̄) / 2`
+    /// plus a non-negative queueing term, at some occupancy `b̄`). At
+    /// `α = 0` the continuous estimator prices `slot(1)` alone, which the
+    /// bound does not cover.
+    pub fn latency_floor(&self) -> SimDuration {
+        self.floor
     }
 
     /// Whether `self` dominates `x`: no Algorithm 1 objective —
@@ -307,6 +333,21 @@ impl CandidateFrontier {
             .map(move |&i| &self.candidates[i as usize])
     }
 
+    /// Every candidate surviving pruning at the ceiling, instance-sorted,
+    /// with the index [`CandidateFrontier::candidate`] takes back — so a
+    /// caller can remember a pick as a `u32`.
+    pub fn indexed_pruned(&self) -> impl Iterator<Item = (u32, &Candidate)> + '_ {
+        self.pruned
+            .iter()
+            .map(move |&i| (i, &self.candidates[i as usize]))
+    }
+
+    /// The candidate at `index`, as yielded by
+    /// [`CandidateFrontier::indexed_pruned`].
+    pub fn candidate(&self, index: u32) -> &Candidate {
+        &self.candidates[index as usize]
+    }
+
     /// Whether `c` is feasible on a fleet of `n` instances — the direct
     /// membership test replacing `feasible(n).contains(&c)` (a binary
     /// search over the enumerated set instead of an `O(|space|)`
@@ -464,6 +505,73 @@ mod tests {
                         .map(|c| (c.throughput(), std::cmp::Reverse(c.config)))
                         .max_by(|a, b| a.partial_cmp(b).expect("finite"));
                     assert_eq!(phi_full, phi_pruned, "throughput {engine:?} n={n}");
+                }
+            }
+        }
+    }
+
+    /// A frontier for every SKU preset × paper model × engine, each SKU
+    /// priced like the optimizer's lanes, at a 16-instance ceiling. Built
+    /// once: every property case checks all of them.
+    fn sku_frontiers() -> &'static [(PerfModel, CandidateFrontier)] {
+        use cloudsim::InstanceType;
+        use llmsim::calibration::{calibration_scale, PAPER_S_IN, PAPER_S_OUT};
+        use llmsim::CostModel;
+        static ALL: std::sync::OnceLock<Vec<(PerfModel, CandidateFrontier)>> =
+            std::sync::OnceLock::new();
+        ALL.get_or_init(|| {
+            let mut all = Vec::new();
+            for ty in [
+                InstanceType::t4(),
+                InstanceType::l4(),
+                InstanceType::a100(),
+                InstanceType::h100(),
+            ] {
+                for model in ModelSpec::paper_models() {
+                    let cost =
+                        CostModel::for_instance_type(&ty).with_scale(calibration_scale(&model));
+                    let perf = PerfModel::new(model, cost, PAPER_S_IN, PAPER_S_OUT);
+                    for engine in ENGINES {
+                        let f = CandidateFrontier::new(
+                            &perf,
+                            engine,
+                            &MemoryModel::default(),
+                            &ty.gpu,
+                            &ConfigSpace::default(),
+                            ty.gpus_per_instance,
+                            16,
+                        );
+                        all.push((perf.clone(), f));
+                    }
+                }
+            }
+            all
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The latency floor the optimizer skips candidates by never
+        /// exceeds the priced `l_req`, on every SKU, model and engine, at
+        /// generated rates `α = u·φ(C)` for `u` in `(0, 1)`.
+        #[test]
+        fn latency_floor_never_exceeds_the_priced_latency(
+            fractions in proptest::prelude::prop::collection::vec(1e-6f64..1.0, 4),
+        ) {
+            for (perf, f) in sku_frontiers() {
+                for cand in f.feasible_at(16) {
+                    for &u in &fractions {
+                        let alpha = u * cand.throughput();
+                        proptest::prop_assert!(
+                            cand.latency_floor() <= cand.latency(perf, alpha),
+                            "{} on {}: floor {} > l_req {} at α = {alpha}",
+                            cand.config,
+                            perf.model().name,
+                            cand.latency_floor(),
+                            cand.latency(perf, alpha)
+                        );
+                    }
                 }
             }
         }

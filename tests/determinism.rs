@@ -600,7 +600,7 @@ fn replay_chaos(seed: u64) -> (String, String) {
 /// Golden digests of `replay_chaos(73)`: the canonical report and the
 /// telemetry JSONL of the price-blind hedge under the fault pack.
 const CHAOS_DIGEST: u64 = 0xf93a_269c_355d_17c7;
-const CHAOS_STREAM_DIGEST: u64 = 0x6115_4573_a068_1c76;
+const CHAOS_STREAM_DIGEST: u64 = 0x0b21_dd3e_0330_cba4;
 
 #[test]
 fn chaos_replays_byte_identical() {

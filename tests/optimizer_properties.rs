@@ -366,6 +366,95 @@ proptest! {
     }
 }
 
+/// One query of a generated optimizer session.
+#[derive(Debug, Clone, Copy)]
+enum Query {
+    Decide,
+    Incumbent(usize),
+    Multi,
+    FlipEngine,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One optimizer answers a whole generated session, so its minima
+    /// tables carry state from query to query: `decide`,
+    /// `decide_with_incumbent` and 1–3-lane `decide_multi` (a T4 lane
+    /// shares the base lane's table) at rates drawn from a four-entry pool
+    /// (`0` included), so rows are reused; availability up to 24 against a
+    /// 16-instance ceiling, so frontiers grow under live rows; and engine
+    /// flips mid-session. Every answer must equal its reference or the
+    /// brute-force oracle.
+    #[test]
+    fn query_sessions_match_the_references(
+        (model_sel, engine_sel, lane_count) in (0usize..3, 0usize..2, 1usize..4),
+        skus in (0usize..4, 0usize..4, 0usize..4),
+        pool in (1u32..3000, 1u32..3000, 1u32..8000),
+        len in 20usize..61,
+        queries in prop::collection::vec(
+            (0usize..16, 0usize..4, (0u32..25, 0u32..25, 0u32..25), 0usize..64),
+            60,
+        ),
+    ) {
+        let all = [
+            InstanceType::t4(),
+            InstanceType::l4(),
+            InstanceType::a100(),
+            InstanceType::h100(),
+        ];
+        let mut engine = [EngineMode::FixedBatch, EngineMode::ContinuousBatching][engine_sel];
+        let model = ModelSpec::paper_models()[model_sel].clone();
+        let mut opt = ConfigOptimizer::paper_defaults(model, 16).with_engine_mode(engine);
+        for &s in [skus.0, skus.1, skus.2].iter().take(lane_count) {
+            opt = opt.with_sku(all[s].clone());
+        }
+        let rates = [0.0, pool.0 as f64 / 1000.0, pool.1 as f64 / 1000.0, pool.2 as f64 / 1000.0];
+        let incumbents = opt.feasible(16);
+        for (step, &(kind, rate, avail, inc)) in queries.iter().take(len).enumerate() {
+            let query = match kind {
+                0..=4 => Query::Decide,
+                5..=8 => Query::Incumbent(inc),
+                9..=14 => Query::Multi,
+                _ => Query::FlipEngine,
+            };
+            let alpha = rates[rate];
+            let n = avail.0;
+            match query {
+                Query::Decide => prop_assert_eq!(
+                    opt.decide(n, alpha),
+                    opt.decide_reference(n, alpha),
+                    "step {step}: decide({n}, {alpha}) {engine:?}"
+                ),
+                Query::Incumbent(i) => {
+                    let inc = incumbents.get(i % incumbents.len().max(1)).copied();
+                    prop_assert_eq!(
+                        opt.decide_with_incumbent(n, alpha, inc),
+                        opt.decide_with_incumbent_reference(n, alpha, inc),
+                        "step {step}: incumbent {inc:?} at ({n}, {alpha}) {engine:?}"
+                    );
+                }
+                Query::Multi => {
+                    let avail = [avail.0, avail.1, avail.2];
+                    let avail = &avail[..lane_count];
+                    prop_assert_eq!(
+                        opt.decide_multi(avail, alpha),
+                        decide_multi_oracle(&opt, engine, avail, alpha),
+                        "step {step}: decide_multi({avail:?}, {alpha}) {engine:?}"
+                    );
+                }
+                Query::FlipEngine => {
+                    engine = match engine {
+                        EngineMode::FixedBatch => EngineMode::ContinuousBatching,
+                        EngineMode::ContinuousBatching => EngineMode::FixedBatch,
+                    };
+                    opt = opt.with_engine_mode(engine);
+                }
+            }
+        }
+    }
+}
+
 // ---- SLO-aware admission properties -----------------------------------
 
 fn perf() -> PerfModel {
