@@ -34,14 +34,15 @@
 //!
 //! A lane's answer depends only on the arrival rate and that lane's
 //! availability, and a run sees few distinct rates, so each lane keeps a
-//! bounded table with one row per rate (keyed by α's IEEE-754 bits): for
-//! every fleet size `n` up to the frontier's ceiling, the minimum
-//! sustaining candidate needing at most `n` instances. One pass over the
-//! instance-sorted frontier builds a row, skipping unpriced every
-//! candidate whose cached latency floor already exceeds the running
-//! minimum. Every later decision at that rate, at any availability, is
-//! two lookups per lane, and only picks from competing lanes are
-//! re-priced. Rows index one frontier, so they go when it is rebuilt or
+//! bounded table with one row per rate (keyed by α's IEEE-754 bits): the
+//! steps of the running minimum-latency sustaining candidate as the fleet
+//! grows, so the pick within any `n` instances is the last step starting
+//! at or below `n`. One pass over the instance-sorted frontier builds a
+//! row, skipping unpriced every candidate whose cached latency floor
+//! already exceeds the running minimum. Every later decision at that
+//! rate, at any availability, is two lookups per lane: each step keeps its
+//! pick's `l_req`, so picks from competing lanes compare with no
+//! re-pricing. Rows index one frontier, so they go when it is rebuilt or
 //! grown and when the engine mode changes. Only the max-throughput
 //! fallback (line 5) and [`ConfigOptimizer::decide_slo`] (behind its own
 //! small memo) still scan.
@@ -115,9 +116,15 @@ const MEMO_CAP: usize = 64;
 /// count by a fixed window.
 const ROW_CAP: usize = 1024;
 
-/// A row entry naming no candidate: nothing within that many instances
-/// sustains the row's rate.
-const NO_PICK: u32 = u32::MAX;
+/// One step of a minima row: from `from` instances up to the next step,
+/// the minimum-`(l_req, instances, config)` candidate sustaining the
+/// row's rate is frontier candidate `index`, priced at `l_req`.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    from: u32,
+    l_req: SimDuration,
+    index: u32,
+}
 
 /// One SKU's pricing state: its performance model (the per-model
 /// calibration scale on that SKU's hardware terms), its hardware shape,
@@ -130,13 +137,13 @@ struct Lane {
     gpu: GpuSpec,
     gpus_per_instance: u8,
     frontier: RefCell<Option<CandidateFrontier>>,
-    /// One row per arrival rate, keyed by α's IEEE-754 bits: `row[n]`
-    /// indexes the minimum-`(l_req, instances, config)` candidate
-    /// sustaining α among those needing at most `n` instances, for
-    /// `n = 0..=frontier.ceiling()` ([`NO_PICK`] when none does). Rows
-    /// index the current frontier, so they go whenever it is rebuilt.
-    /// Only ever probed by key, so the map's order never shows.
-    rows: RefCell<HashMap<u64, Box<[u32]>>>,
+    /// One row per arrival rate, keyed by α's IEEE-754 bits: the
+    /// [`Step`]s of the minimum candidate sustaining α, in increasing
+    /// `from` (and strictly falling `l_req`); no step covers a fleet size
+    /// at which nothing sustains α. Rows index the current frontier, so
+    /// they go whenever it is rebuilt. Only ever probed by key, so the
+    /// map's order never shows.
+    rows: RefCell<HashMap<u64, Box<[Step]>>>,
 }
 
 impl Lane {
@@ -157,15 +164,16 @@ impl Lane {
     }
 
     /// The minimum sustaining candidates of `fr` (this lane's frontier)
-    /// within `ceiling` and within `n` instances at rate `alpha`, read
-    /// from `alpha`'s row, and whether the row had to be built first.
+    /// within `ceiling` and within `n` instances at rate `alpha`, with
+    /// their `l_req`, read from `alpha`'s row, and whether the row had to
+    /// be built first.
     fn sustaining_picks<'f>(
         &self,
         fr: &'f CandidateFrontier,
         alpha: f64,
         ceiling: u32,
         n: u32,
-    ) -> ([Option<&'f Candidate>; 2], bool) {
+    ) -> ([Option<(SimDuration, &'f Candidate)>; 2], bool) {
         let mut rows = self.rows.borrow_mut();
         let bits = alpha.to_bits();
         if rows.len() >= ROW_CAP && !rows.contains_key(&bits) {
@@ -176,9 +184,10 @@ impl Lane {
             built = true;
             minima_row(fr, &self.perf, alpha)
         });
-        let picks = [ceiling, n].map(|m| match row[m as usize] {
-            NO_PICK => None,
-            i => Some(fr.candidate(i)),
+        let picks = [ceiling, n].map(|m| {
+            let steps = row.partition_point(|s| s.from <= m);
+            let s = row[..steps].last()?;
+            Some((s.l_req, fr.candidate(s.index)))
         });
         (picks, built)
     }
@@ -634,8 +643,7 @@ impl ConfigOptimizer {
     ///   config)` candidate sustaining `alpha` within any lane's ceiling;
     ///   `now` is the target when it fits its lane, else the minimum
     ///   within each lane's availability. Each lane answers both from its
-    ///   minima row for `alpha`; only picks from competing lanes are
-    ///   re-priced.
+    ///   minima row for `alpha`.
     /// * Line 5: when nothing sustains `alpha` (for `now`, within
     ///   availability), the maximum-`(φ, Reverse((lane, config)))`
     ///   candidate within availability — scanned only when needed.
@@ -647,22 +655,12 @@ impl ConfigOptimizer {
         let mut target: Option<(SimDuration, u32, usize, ParallelConfig)> = None;
         let mut now = None;
         let mut scanned = false;
-        let contested = lanes.len() > 1;
         for (i, &(lane, avail)) in lanes.iter().enumerate() {
             let fr = self.frontier(lane, ceiling(avail));
             let ([at_ceiling, within], built) =
                 lane.sustaining_picks(&fr, alpha, ceiling(avail), avail);
             scanned |= built;
-            // Picks compete on `l_req` only across lanes: a lone lane's
-            // picks win unopposed, so they are not re-priced.
-            let key = |c: &Candidate| {
-                let l = if contested {
-                    c.latency(&lane.perf, alpha)
-                } else {
-                    SimDuration::ZERO
-                };
-                (l, c.instances, i, c.config)
-            };
+            let key = |(l, c): (SimDuration, &Candidate)| (l, c.instances, i, c.config);
             target = target.into_iter().chain(at_ceiling.map(key)).min();
             now = now.into_iter().chain(within.map(key)).min();
         }
@@ -901,8 +899,9 @@ impl ConfigOptimizer {
 }
 
 /// One minima row of `fr` at rate `alpha` (see `Lane::rows`), from one
-/// pass over the instance-sorted pruned candidates that records the
-/// running minimum at each instance-bucket boundary. Scanning in
+/// pass over the instance-sorted pruned candidates that starts a step
+/// wherever the running minimum falls (a later fall in the same
+/// instance bucket replaces that bucket's step). Scanning in
 /// `(instances, config)` order, a candidate beats the running minimum iff
 /// its `l_req` is strictly lower, so the row is bit-identical to
 /// `best_latency` over the sustaining subset of a fresh enumeration at
@@ -910,24 +909,28 @@ impl ConfigOptimizer {
 /// comparison). For `alpha > 0` a candidate whose latency floor exceeds
 /// the running minimum's `l_req` is skipped unpriced: it loses to that
 /// minimum, and the minimum only falls as the fleet grows.
-fn minima_row(fr: &CandidateFrontier, perf: &PerfModel, alpha: f64) -> Box<[u32]> {
-    let mut row = vec![NO_PICK; fr.ceiling() as usize + 1];
-    let (mut best, mut pick): (Option<SimDuration>, u32) = (None, NO_PICK);
-    let mut closed = 0;
-    for (i, cand) in fr.indexed_pruned() {
-        let bucket = cand.instances as usize;
-        row[closed..bucket].fill(pick);
-        closed = bucket;
+fn minima_row(fr: &CandidateFrontier, perf: &PerfModel, alpha: f64) -> Box<[Step]> {
+    let mut row: Vec<Step> = Vec::new();
+    for (index, cand) in fr.indexed_pruned() {
+        let best = row.last().map(|s| s.l_req);
         let beaten = |floor| best.is_some_and(|l| floor > l);
         if cand.throughput() < alpha || (alpha > 0.0 && beaten(cand.latency_floor())) {
             continue;
         }
-        let l = cand.latency(perf, alpha);
-        if best.is_none_or(|b| l < b) {
-            (best, pick) = (Some(l), i);
+        let l_req = cand.latency(perf, alpha);
+        if best.is_some_and(|b| l_req >= b) {
+            continue;
+        }
+        let step = Step {
+            from: cand.instances,
+            l_req,
+            index,
+        };
+        match row.last_mut() {
+            Some(last) if last.from == step.from => *last = step,
+            _ => row.push(step),
         }
     }
-    row[closed..].fill(pick);
     row.into_boxed_slice()
 }
 
@@ -1098,11 +1101,13 @@ mod tests {
         for i in 0..(ROW_CAP as u32 + 8) {
             let alpha = 0.05 + i as f64 * 1e-3;
             let d = o.decide(8, alpha);
-            if i % 97 == 0 {
+            // A sample before the table fills, every rate after the clear.
+            if i >= ROW_CAP as u32 || i % 97 == 0 {
                 assert_eq!(d, o.decide_reference(8, alpha), "α = {alpha}");
             }
             assert!(rows(&o) <= ROW_CAP, "the table is bounded");
         }
+        assert_eq!(rows(&o), 8, "the overflow cleared the table");
         assert_eq!(o.decide(8, 0.35), pinned);
     }
 
